@@ -1,7 +1,6 @@
 """Open-system dynamics and information measures for PT and Anti-PT qubits."""
 
-from ._backend import BACKEND
-from .bath import BathParams, QuadratureResult
+from .bath import BACKEND, BathParams, QuadratureResult
 from .dynamics import QubitParams, SpectralSplit, Symmetry, Trajectory
 from .linalg2 import DensityMatrix
 

@@ -1,11 +1,10 @@
-"""Bath spectral density and the semi-infinite dephasing integrals.
+"""Bath spectral density and the dephasing kernels in closed form.
 
 The spectral density is an Ohmic family with exponential cutoff,
 
     J(w) = J0 * omega_c * (w/omega_c)^(1+mu) * exp(-w/omega_c),
 
-so mu = 0 is Ohmic and mu = -0.5 sub-Ohmic.  The four kernels evaluated
-here are
+so mu = 0 is Ohmic and mu = -0.5 sub-Ohmic.  The kernels are
 
     gamma(t)       = 4 int_0^inf dw J(w) (1 - cos wt)/w^2 coth(beta w/2)
     omega_pt(t)    = 4 theta int_0^inf dw J(w) (wt - sin wt)/w^2
@@ -13,39 +12,62 @@ here are
     omega2(t)      = 2 theta t^2 int_0^inf dw J(w)
 
 plus the time derivatives of gamma and omega1 needed for analytic
-Liouvillian norms.  All semi-infinite integrals use adaptive panel
-subdivision with an embedded Gauss error estimate, an analytic series for
-the w -> 0 endpoint (the integrands behave like w^mu there) and an
-analytic bound on the exponentially small tail.
+Liouvillian norms.  With c = 4 J0 omega_c^-mu, a = 1/omega_c and
+z = a - i t they are Gamma-function integrals (Haikka, Johnson and
+Maniscalco, PRA 87, 010103(R) (2013)):
+
+    omega1 / theta        = c Gamma(mu) [a^-mu - Re z^-mu]
+    omega_pt / theta      = c [t Gamma(mu+1) a^(-mu-1) - Gamma(mu) Im z^-mu]
+    d omega1/dt / theta   = c Gamma(mu+1) Im z^(-mu-1)
+
+and coth(beta w/2) = 1 + 2 sum_k exp(-k beta w) turns gamma into the
+same bracket summed over a_k = a + k beta, weight 2 - delta_k0.  Terms
+with a_k < 2 t_max (a little more for mu > 1, or mu > 0 in the rate)
+are summed directly; the rest is a binomial series in t/a_k whose k-sum
+is a Hurwitz zeta,
+
+    -2 c sum_m>=1 (-1)^m Gamma(mu+2m)/(2m)! t^2m beta^(-mu-2m)
+         * zeta(mu+2m, a/beta + K),
+
+with consecutive terms shrinking by at least 4.  d gamma/dt is the
+term-by-term derivative.  The removable pole of Gamma(mu) at mu = 0 is
+avoided by writing Gamma(mu)(a^-mu - z^-mu) as
+-Gamma(mu+1) a^-mu expm1(-mu log(z/a))/mu in real arithmetic.
+
+Every kernel takes a float or a 1-D array of times and returns a
+QuadratureResult whose abs_error is the series-truncation bound plus a
+floating-point rounding bound built from the magnitudes of the terms.
+A kernel whose bound exceeds tol, or whose series would need more than
+TERM_BUDGET terms, raises QuadratureDivergence.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import exprel, zeta
 
-from ._backend import kernels
 from .errors import DomainError, QuadratureDivergence
 
+# The numeric path, as recorded in run manifests.
+BACKEND = "numpy"
 DEFAULT_TOL = 1e-9
-EVAL_BUDGET = 200_000
+# Series terms (one per time and k or m) a single kernel call may sum.
+TERM_BUDGET = 10_000_000
 
-# Endpoint of the analytic small-w series, in units of omega_c.
-_HEAD_FRACTION = 1e-6
-
-_NODES_HI, _WTS_HI = np.polynomial.legendre.leggauss(15)
-_NODES_LO, _WTS_LO = np.polynomial.legendre.leggauss(7)
-_EVALS_PER_PANEL = len(_NODES_HI) + len(_NODES_LO)
-
-KIND_GAMMA = kernels.KIND_GAMMA
-KIND_PHASE_RAMP = kernels.KIND_PHASE_RAMP
-KIND_PHASE_BOUNDED = kernels.KIND_PHASE_BOUNDED
-KIND_DGAMMA = kernels.KIND_DGAMMA
-KIND_DPHASE_BOUNDED = kernels.KIND_DPHASE_BOUNDED
+# (k, t) pairs evaluated per block of the direct sum; bounds peak memory.
+_BLOCK = 1 << 16
+_EPS = float(np.finfo(float).eps)
+# Sums run in extended precision where the platform has it.
+_SUM_DTYPE = np.longdouble
+_SUM_EPS = float(np.finfo(_SUM_DTYPE).eps)
+# Rounding of one term, in units of eps of its magnitude: about ten
+# correctly rounded operations.  The magnitudes carry the condition
+# numbers: an argument y with relative error d moves exp(y) by |y| d
+# relatively and cos y, sin y by |y| d absolutely.
+_TERM_ULPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -75,8 +97,11 @@ class BathParams:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    abs_error: float
+    """A kernel's value with its absolute error bound, per time for an
+    array of times; evaluations counts the series terms summed."""
+
+    value: float | np.ndarray
+    abs_error: float | np.ndarray
     converged: bool
     evaluations: int
 
@@ -96,228 +121,215 @@ def moment0(p: BathParams) -> float:
     return p.j0 * p.omega_c**2 * math.gamma(2.0 + p.mu)
 
 
-def _tail_factor(kind: int, a: float, t: float, p: BathParams) -> float:
-    """Pointwise bound on the non-J factor of each integrand for w >= a."""
-    if kind == KIND_GAMMA:
-        return 8.0 / (a * a * math.tanh(0.5 * p.beta * a))
-    if kind == KIND_PHASE_RAMP:
-        return 4.0 * (t / a + 1.0 / (a * a))
-    if kind == KIND_PHASE_BOUNDED:
-        return 8.0 / (a * a)
-    if kind == KIND_DGAMMA:
-        return 4.0 / (a * math.tanh(0.5 * p.beta * a))
-    return 4.0 / a
+def _times(t) -> np.ndarray:
+    """The times as a 1-D array, validated."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise DomainError("t must be a float or a 1-D array of times")
+    ok = np.isfinite(ts) & (ts >= 0.0)
+    if not ok.all():
+        raise DomainError(
+            f"t must be finite and non-negative, got {ts[~ok].flat[0]}")
+    return np.atleast_1d(ts)
 
 
-def _tail_bound(kind: int, a: float, t: float, p: BathParams) -> float:
-    """Bound on the integral over [a, inf) via the incomplete-Gamma tail of J."""
-    s = 2.0 + p.mu
-    j_tail = p.j0 * p.omega_c**2 * gammaincc(s, a / p.omega_c) * math.gamma(s)
-    return _tail_factor(kind, a, t, p) * j_tail
+def _log_and_angle(x):
+    """log|1 - i x| and -arg(1 - i x), accurate for small x."""
+    return 0.5 * np.log1p(x * x), np.arctan(x)
 
 
-def _head(kind: int, w: float, t: float, p: BathParams) -> tuple[float, float]:
-    """Closed-form integral over [0, w] of the small-w series, plus a bound
-    on the truncation error.
-
-    Near zero every integrand is c * w^(mu + k) * (1 - w/omega_c + O(w^2));
-    the series avoids the catastrophic cancellation in (1 - cos)/w^2.
-    """
-    mu = p.mu
-    c0 = 4.0 * p.j0 * p.omega_c ** (-mu)
-
-    def poly(coeff: float, k: int, q: float = 0.0) -> tuple[float, float]:
-        # coeff * int_0^w x^(mu+k) (1 - x/omega_c + q x^2) dx, with a crude
-        # but safe bound on the dropped O(x^(mu+k+3)) terms.
-        lead = coeff * (
-            w ** (mu + k + 1) / (mu + k + 1)
-            - w ** (mu + k + 2) / ((mu + k + 2) * p.omega_c)
-            + q * w ** (mu + k + 3) / (mu + k + 3)
-        )
-        # Dropped terms start at relative order x^3 when the quadratic
-        # coefficient q is kept, x^2 otherwise.
-        resid_order = mu + k + (4 if q != 0.0 else 3)
-        resid_scale = (1.0 + t * t + p.beta**2 + 1.0 / p.omega_c**2) ** 2
-        err = abs(coeff) * w**resid_order * resid_scale
-        return lead, err
-
-    if kind == KIND_GAMMA:
-        q = 0.5 / p.omega_c**2 + p.beta**2 / 12.0 - t * t / 12.0
-        return poly(c0 * t * t / p.beta, 0, q)
-    if kind == KIND_PHASE_RAMP:
-        # (wt - sin wt)/w^2 ~ (t^3/6) w, one power higher than the
-        # bounded kernels.
-        return poly(c0 * t**3 / 6.0, 2)
-    if kind == KIND_PHASE_BOUNDED:
-        return poly(c0 * t * t / 2.0, 1)
-    if kind == KIND_DGAMMA:
-        q = 0.5 / p.omega_c**2 + p.beta**2 / 12.0 - t * t / 6.0
-        return poly(2.0 * c0 * t / p.beta, 0, q)
-    return poly(c0 * t, 1)
+def _bounded_term(x, mu):
+    """Gamma(mu)(1 - Re (1 - i x)^-mu) / Gamma(mu+1) and its rounding
+    magnitude: the (1 - cos wt) kernels at a = 1, t = x."""
+    rho, phi = _log_and_angle(x)
+    e, y = mu * rho, mu * phi
+    u = rho * exprel(-e)
+    v = 0.5 * mu * (phi * np.sinc(y / (2.0 * np.pi))) ** 2
+    mag = (u * (1.0 + np.abs(e)) + 0.5 * abs(mu) * phi * phi) \
+        * (1.0 + np.abs(y))
+    return u * np.cos(y) + v, mag
 
 
-def _initial_breakpoints(kind: int, t: float, p: BathParams,
-                         tol: float) -> np.ndarray:
-    """Panel layout: geometric refinement at the w^mu endpoint, oscillation-
-    resolving panels (width <= pi/4t) while the integrand matters, coarse
-    panels out to the truncation point."""
-    wc = p.omega_c
-    w_lo = _HEAD_FRACTION * wc
-    w_max = wc * (40.0 + 10.0 * math.log(1.0 / tol))
-
-    # Fine region ends where the tail-style bound is already negligible.
-    w_fine_end = w_max
-    x = 8.0 * wc
-    while x < w_max:
-        if _tail_bound(kind, x, t, p) < 0.1 * tol:
-            w_fine_end = x
-            break
-        x += wc
-
-    pts = [w_lo]
-    w = w_lo
-    while w < 0.25 * wc:
-        w = min(w * 4.0, 0.25 * wc)
-        pts.append(w)
-
-    cap = wc / 4.0
-    if t > 0.0:
-        cap = min(cap, math.pi / (4.0 * t))
-    n_fine = max(1, math.ceil((w_fine_end - pts[-1]) / cap))
-    pts.extend(np.linspace(pts[-1], w_fine_end, n_fine + 1)[1:])
-
-    if w_fine_end < w_max:
-        n_coarse = max(1, math.ceil((w_max - w_fine_end) / (2.0 * wc)))
-        pts.extend(np.linspace(w_fine_end, w_max, n_coarse + 1)[1:])
-    return np.asarray(pts)
+def _rate_term(x, mu):
+    """Im (1 - i x)^(-mu-1) and its rounding magnitude: the sin(wt)
+    kernels."""
+    rho, phi = _log_and_angle(x)
+    e, y = (mu + 1.0) * rho, (mu + 1.0) * phi
+    r = np.exp(-e)
+    return r * np.sin(y), r * (1.0 + e) * (np.abs(np.sin(y)) + np.abs(y))
 
 
-def _integrate(kind: int, t: float, p: BathParams, tol: float) -> QuadratureResult:
-    """Adaptive evaluation of one semi-infinite kernel at time t."""
-    if t < 0:
-        raise DomainError(f"t must be non-negative, got {t}")
-    if t == 0.0:
-        return QuadratureResult(0.0, 0.0, True, 0)
-
-    w_lo = _HEAD_FRACTION * p.omega_c
-    head_val, head_err = _head(kind, w_lo, t, p)
-    pts = _initial_breakpoints(kind, t, p, tol)
-    w_max = pts[-1]
-    tail_err = _tail_bound(kind, w_max, t, p)
-
-    a = pts[:-1].copy()
-    b = pts[1:].copy()
-    vals, errs = kernels.eval_panels(
-        kind, a, b, t, p.j0, p.omega_c, p.mu, p.beta,
-        _NODES_HI, _WTS_HI, _NODES_LO, _WTS_LO,
-    )
-    evals = len(a) * _EVALS_PER_PANEL
-
-    while True:
-        total_err = float(np.sum(errs)) + head_err + tail_err
-        if total_err <= tol:
-            break
-        # Split every panel whose error exceeds its fair share; always at
-        # least the worst one.
-        share = 0.5 * tol / len(a)
-        mask = errs > share
-        if not mask.any():
-            mask[int(np.argmax(errs))] = True
-        n_new = 2 * int(mask.sum())
-        if evals + n_new * _EVALS_PER_PANEL > EVAL_BUDGET:
-            raise QuadratureDivergence(
-                f"kernel {kind} at t={t}: error {total_err:.3e} > tol {tol:.3e} "
-                f"after {evals} integrand evaluations"
-            )
-        sa, sb = a[mask], b[mask]
-        mids = 0.5 * (sa + sb)
-        na = np.concatenate([a[~mask], sa, mids])
-        nb = np.concatenate([b[~mask], mids, sb])
-        nvals, nerrs = kernels.eval_panels(
-            kind, na[len(a) - len(sa):], nb[len(a) - len(sa):],
-            t, p.j0, p.omega_c, p.mu, p.beta,
-            _NODES_HI, _WTS_HI, _NODES_LO, _WTS_LO,
-        )
-        vals = np.concatenate([vals[~mask], nvals])
-        errs = np.concatenate([errs[~mask], nerrs])
-        a, b = na, nb
-        evals += n_new * _EVALS_PER_PANEL
-
-    value = float(np.sum(vals)) + head_val
-    total_err = float(np.sum(errs)) + float(head_err) + float(tail_err)
-    return QuadratureResult(value, total_err, bool(total_err <= tol), evals)
+def _ramp_term(x, mu):
+    """x + Gamma(mu) Im (1 - i x)^-mu / Gamma(mu+1) and its rounding
+    magnitude: the (wt - sin wt) kernel."""
+    rho, phi = _log_and_angle(x)
+    e, y = mu * rho, mu * phi
+    s = np.exp(-e) * phi
+    return x - s * np.sinc(y / np.pi), \
+        x + s * (1.0 + np.abs(e)) * (1.0 + np.abs(y))
 
 
-_cache: dict[tuple, QuadratureResult] = {}
-_cache_lock = threading.Lock()
+def _bound(value, magnitude, n_terms):
+    """Rounding bound of a sum of n_terms terms of the given total
+    magnitude, evaluated in double and summed in _SUM_DTYPE."""
+    return ((_TERM_ULPS * _EPS + n_terms * _SUM_EPS) * magnitude
+            + 0.5 * _EPS * np.abs(value))
 
 
-def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+def _single(term, power: float, ts, p: BathParams):
+    """c Gamma(mu+1) a^power term(t/a): one Gamma-function integral."""
+    a = 1.0 / p.omega_c
+    scale = 4.0 * p.j0 * p.omega_c ** (-p.mu) * math.gamma(p.mu + 1.0) \
+        * a**power
+    value, mag = term(ts / a, p.mu)
+    value = scale * value
+    # a carries one rounding, which a^power amplifies by |power|.
+    return value, _bound(value, scale * (1.0 + abs(power)) * mag, 1), ts.size
 
 
-def _cached(kind: int, t: float, p: BathParams, tol: float) -> QuadratureResult:
-    key = (kind, t, p, tol)
-    with _cache_lock:
-        hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    res = _integrate(kind, t, p, tol)
-    with _cache_lock:
-        _cache.setdefault(key, res)
-    return res
+def _over_budget(name: str, t_max: float, terms: float):
+    return QuadratureDivergence(
+        f"{name} up to t={t_max}: {terms:.4g} series terms exceed the "
+        f"budget of {TERM_BUDGET}")
 
 
-def gamma(t: float, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def _thermal(name: str, ts, p: BathParams, rate: bool):
+    """gamma(t) (rate=False) or d gamma/dt (rate=True) on the times ts."""
+    mu, a, beta = p.mu, 1.0 / p.omega_c, p.beta
+    t_max = float(ts.max()) if ts.size else 0.0
+    # Each tail term is at most sup_coef (t/a_K)^2 times the one before it.
+    # The coefficient ratios are monotone in m, so their sup is the first
+    # one or the limit 1.
+    sup_coef = max(1.0, (mu + 2.0) * (mu + 3.0) / (6.0 if rate else 12.0))
+    # Direct terms while a_k < 2 t_max sqrt(sup_coef), so that the tail's
+    # term ratio stays below 1/4; the float is checked before ceil and
+    # before any allocation.
+    k_split = max(1.0, (2.0 * t_max * math.sqrt(sup_coef) - a) / beta)
+    if not k_split * ts.size <= TERM_BUDGET:
+        raise _over_budget(name, t_max, k_split * ts.size)
+    n_direct = math.ceil(k_split)
+    a_tail = a + n_direct * beta
+    q = a_tail / beta
+    ratio_max = sup_coef * (t_max / a_tail) ** 2  # <= 1/4
+    # Enough tail terms that the remainder is below eps/2 of the first.
+    n_tail = 1 if ratio_max < _EPS else max(1, math.ceil(
+        math.log(0.5 * _EPS * (1.0 - ratio_max)) / math.log(ratio_max)))
+    n_terms = n_direct + n_tail
+    if n_terms * ts.size > TERM_BUDGET:
+        raise _over_budget(name, t_max, n_terms * ts.size)
+    # q^(mu+2m-1) must stay finite and zeta(mu+2m, q) ~ q^(1-mu-2m) normal.
+    if (mu + 2 * n_tail - 1.0) * math.log(q) > 690.0:
+        raise QuadratureDivergence(
+            f"{name} up to t={t_max}: the zeta tail at a/beta + K = {q:.4g} "
+            "leaves the floating-point range")
+
+    term = _rate_term if rate else _bounded_term
+    power = -mu - 1.0 if rate else -mu
+    total = np.zeros(ts.size, dtype=_SUM_DTYPE)
+    mag = np.zeros(ts.size, dtype=_SUM_DTYPE)
+    rows = max(1, _BLOCK // max(ts.size, 1))
+    for k0 in range(0, n_direct, rows):
+        k = np.arange(k0, min(k0 + rows, n_direct))
+        a_k = a + k * beta
+        weight = np.where(k == 0, 1.0, 2.0) * a_k**power
+        f, m = term(ts[:, None] / a_k, mu)
+        total += np.sum(f * weight, axis=1, dtype=_SUM_DTYPE)
+        mag += np.sum(m * weight, axis=1, dtype=_SUM_DTYPE)
+
+    # Tail, scaled by 1/Gamma(mu+1) like the direct terms: with x = t/a_K,
+    # g_m = Gamma(mu+2m)/((2m)! Gamma(mu+1)) and qz_m = q^(mu+2m-1)
+    # zeta(mu+2m, q), term m is 2 (-1)^(m+1) g_m a_K^-mu q qz_m x^2m; the
+    # rate's carries an extra factor 2m/(x a_K).
+    x = ts / a_tail
+    x2 = x * x
+    xp = x if rate else x2
+    g = (mu + 1.0) / 2.0
+    tail_scale = 2.0 * a_tail**-mu * q / (a_tail if rate else 1.0)
+    for m in range(1, n_tail + 1):
+        s = mu + 2 * m
+        last = (tail_scale * g * q ** (s - 1.0) * zeta(s, q)
+                * (2 * m if rate else 1)) * xp
+        total += last if m % 2 else -last
+        mag += np.abs(last)
+        xp = xp * x2
+        g *= s * (s + 1.0) / ((2 * m + 1.0) * (2 * m + 2.0))
+    ratio = sup_coef * x2
+    trunc = np.abs(last) * ratio / (1.0 - ratio)
+
+    scale = 4.0 * p.j0 * p.omega_c ** (-mu) * math.gamma(mu + 1.0)
+    value = scale * total.astype(float)
+    # a_k carries two roundings, which a_k^power amplifies by |power|.
+    err = scale * trunc + _bound(
+        value, scale * (1.0 + abs(power)) * mag.astype(float), n_terms)
+    return value, err, n_terms * ts.size
+
+
+def _unwrap(t, out):
+    """A float for a scalar time t, else the array."""
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _result(name: str, t, ts, value, err, terms: int, tol: float,
+            theta: float = 1.0) -> QuadratureResult:
+    """Scale by theta, enforce tol, and unwrap a scalar time."""
+    value = value * theta
+    err = err * abs(theta)
+    bad = ~(np.isfinite(value) & (err <= tol))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureDivergence(
+            f"{name} at t={ts[i]}: error bound {err[i]:.3e} > tol {tol:.3e} "
+            f"after {terms} series terms")
+    return QuadratureResult(_unwrap(t, value), _unwrap(t, err), True, terms)
+
+
+def gamma(t, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Decoherence kernel gamma(t); non-negative, gamma(0) = 0."""
-    return _cached(KIND_GAMMA, t, p, tol)
+    ts = _times(t)
+    return _result("gamma", t, ts, *_thermal("gamma", ts, p, False), tol)
 
 
-def _scaled_by_theta(kind: int, t: float, theta: float, p: BathParams,
-                     tol: float) -> QuadratureResult:
-    # The integrals are exactly linear in theta: evaluate per unit theta
-    # (shared across a theta sweep via the cache) and scale.
-    if theta == 0.0:
-        return QuadratureResult(0.0, 0.0, True, 0)
-    base_tol = tol / max(1.0, abs(theta))
-    base = _cached(kind, t, p, base_tol)
-    err = base.abs_error * abs(theta)
-    return QuadratureResult(base.value * theta, err, err <= tol, base.evaluations)
+def gamma_rate(t, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
+    """d gamma / dt, by differentiating the series term by term."""
+    ts = _times(t)
+    return _result("gamma_rate", t, ts,
+                   *_thermal("gamma_rate", ts, p, True), tol)
 
 
-def omega_pt(t: float, theta: float, p: BathParams,
+def _per_theta(name: str, term, power: float, t, theta: float,
+               p: BathParams, tol: float) -> QuadratureResult:
+    # The kernels are exactly linear in theta: evaluate per unit theta and
+    # scale, so a theta sweep sees identical per-unit values.
+    ts = _times(t)
+    return _result(name, t, ts, *_single(term, power, ts, p), tol, theta)
+
+
+def omega_pt(t, theta: float, p: BathParams,
              tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Unbounded phase kernel Omega(t); sign(theta) for t > 0, linear in theta."""
-    return _scaled_by_theta(KIND_PHASE_RAMP, t, theta, p, tol)
+    return _per_theta("omega_pt", _ramp_term, -p.mu, t, theta, p, tol)
 
 
-def omega1(t: float, theta: float, p: BathParams,
+def omega1(t, theta: float, p: BathParams,
            tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Bounded phase kernel Omega_1(t); linear in theta."""
-    return _scaled_by_theta(KIND_PHASE_BOUNDED, t, theta, p, tol)
+    return _per_theta("omega1", _bounded_term, -p.mu, t, theta, p, tol)
 
 
-def omega2(t: float, theta: float, p: BathParams) -> float:
-    """Quadratic phase kernel Omega_2(t) = 2 theta t^2 * int J, closed form."""
-    if t < 0:
-        raise DomainError(f"t must be non-negative, got {t}")
-    return 2.0 * theta * t * t * moment0(p)
-
-
-def gamma_rate(t: float, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """d gamma / dt, by differentiating under the integral sign."""
-    return _cached(KIND_DGAMMA, t, p, tol)
-
-
-def omega1_rate(t: float, theta: float, p: BathParams,
+def omega1_rate(t, theta: float, p: BathParams,
                 tol: float = DEFAULT_TOL) -> QuadratureResult:
     """d Omega_1 / dt, linear in theta."""
-    return _scaled_by_theta(KIND_DPHASE_BOUNDED, t, theta, p, tol)
+    return _per_theta("omega1_rate", _rate_term, -p.mu - 1.0, t, theta, p,
+                      tol)
 
 
-def omega2_rate(t: float, theta: float, p: BathParams) -> float:
+def omega2(t, theta: float, p: BathParams):
+    """Quadratic phase kernel Omega_2(t) = 2 theta t^2 * int J, closed form."""
+    ts = _times(t)
+    return _unwrap(t, 2.0 * theta * ts * ts * moment0(p))
+
+
+def omega2_rate(t, theta: float, p: BathParams):
     """d Omega_2 / dt = 4 theta t * int J."""
-    if t < 0:
-        raise DomainError(f"t must be non-negative, got {t}")
-    return 4.0 * theta * t * moment0(p)
+    ts = _times(t)
+    return _unwrap(t, 4.0 * theta * ts * moment0(p))

@@ -7,7 +7,7 @@ Verbs:
     nhqubit compare CONFIG_A CONFIG_B [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 broken symmetry phase,
-4 quadrature failure, 5 I/O error.
+4 bath-kernel failure (error bound above tolerance), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--preset", help="named preset instead of a config")
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--tol", type=float, default=None,
-                       help="quadrature tolerance override")
+                       help="bath-kernel error tolerance override")
 
     sub.add_parser("list-presets", help="list available presets")
 

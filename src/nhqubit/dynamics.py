@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,26 +103,6 @@ class Trajectory:
             )
             for phi, d in zip(self.phase, self.decoherence)
         ]
-
-
-def worker_count() -> int:
-    """Worker cap from NHQUBIT_THREADS (0 = auto, unset = serial)."""
-    raw = os.environ.get("NHQUBIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return max(n, 1)
-
-
-def _pmap(fn, items):
-    n = worker_count()
-    if n <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def build_hamiltonian(p: QubitParams) -> np.ndarray:
@@ -225,24 +203,17 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
     t_inv = np.linalg.inv(transformation_matrix(p))
     p1d, p2d, c0 = rho0_diag.p1, rho0_diag.p2, rho0_diag.c
 
-    def kernels_at(t: float):
-        g = bath.gamma(t, b, tol)
-        om = bath.omega_pt(t, p.theta, b, tol)
-        return g, om
-
-    results = _pmap(kernels_at, list(ts))
+    g = bath.gamma(ts, b, tol)
+    om = bath.omega_pt(ts, p.theta, b, tol)
+    damping = np.exp(-(omega0**2) * g.value)
+    phases = 2.0 * omega0 * ts - omega0 * om.value
+    coherences = c0 * np.exp(1j * phases) * damping
+    max_err = float(max(g.abs_error.max(), om.abs_error.max()))
 
     states: list[DensityMatrix] = []
     raw_states: list[np.ndarray] = []
-    damping = np.empty(len(ts))
-    phases = np.empty(len(ts))
-    max_err = 0.0
     trace0 = None
-    for i, (t, (g, om)) in enumerate(zip(ts, results)):
-        max_err = max(max_err, g.abs_error, om.abs_error)
-        damp = math.exp(-(omega0**2) * g.value)
-        phi = 2.0 * omega0 * t - omega0 * om.value
-        c_t = c0 * complex(math.cos(phi), math.sin(phi)) * damp
+    for c_t in coherences:
         rho_d = np.array([[p1d, c_t], [np.conj(c_t), p2d]], dtype=complex)
         phys = t_inv @ rho_d @ t_inv.conj().T
         phys = 0.5 * (phys + phys.conj().T)  # scrub rounding drift
@@ -252,8 +223,6 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
         states.append(DensityMatrix.from_matrix(phys / tr))
         if paper_normalization:
             raw_states.append(phys / trace0)
-        damping[i] = damp
-        phases[i] = phi
 
     return Trajectory(
         symmetry=Symmetry.PT,
@@ -281,35 +250,22 @@ def evolve_apt(p: QubitParams, b: BathParams, times,
     if rho0 is None:
         rho0 = DensityMatrix.plus()
 
-    m0 = bath.moment0(b)
+    g = bath.gamma(ts, b, tol)
+    o1 = bath.omega1(ts, p.theta, b, tol)
+    dg = bath.gamma_rate(ts, b, tol)
+    do1 = bath.omega1_rate(ts, p.theta, b, tol)
+    max_err = float(max(r.abs_error.max() for r in (g, o1, dg, do1)))
 
-    def kernels_at(t: float):
-        g = bath.gamma(t, b, tol)
-        o1 = bath.omega1(t, p.theta, b, tol)
-        dg = bath.gamma_rate(t, b, tol)
-        do1 = bath.omega1_rate(t, p.theta, b, tol)
-        return g, o1, dg, do1
-
-    results = _pmap(kernels_at, list(ts))
-
-    states: list[DensityMatrix] = []
-    damping = np.empty(len(ts))
-    phases = np.empty(len(ts))
-    lnorm = np.empty(len(ts))
-    max_err = 0.0
-    for i, (t, (g, o1, dg, do1)) in enumerate(zip(ts, results)):
-        max_err = max(max_err, g.abs_error, o1.abs_error,
-                      dg.abs_error, do1.abs_error)
-        o2 = bath.omega2(t, p.theta, b)
-        damp = math.exp(-(omega0**2) * g.value)
-        phi = 2.0 * omega0 * t - omega0 * (o2 - o1.value)
-        c_t = rho0.c * complex(math.cos(phi), math.sin(phi)) * damp
-        states.append(DensityMatrix(p1=rho0.p1, p2=rho0.p2, c=c_t))
-        damping[i] = damp
-        phases[i] = phi
-        # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
-        dphi = 2.0 * omega0 - omega0 * (bath.omega2_rate(t, p.theta, b) - do1.value)
-        lnorm[i] = abs(c_t) * math.hypot(dphi, omega0**2 * dg.value)
+    damping = np.exp(-(omega0**2) * g.value)
+    phases = 2.0 * omega0 * ts - omega0 * (bath.omega2(ts, p.theta, b)
+                                           - o1.value)
+    coherences = rho0.c * np.exp(1j * phases) * damping
+    states = [DensityMatrix(p1=rho0.p1, p2=rho0.p2, c=complex(c_t))
+              for c_t in coherences]
+    # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
+    dphi = 2.0 * omega0 - omega0 * (bath.omega2_rate(ts, p.theta, b)
+                                    - do1.value)
+    lnorm = np.abs(coherences) * np.hypot(dphi, omega0**2 * dg.value)
 
     return Trajectory(
         symmetry=Symmetry.ANTI_PT,

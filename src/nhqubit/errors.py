@@ -18,7 +18,8 @@ class NonPhysicalState(NhQubitError):
 
 
 class QuadratureDivergence(NhQubitError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A bath kernel's error bound exceeds the requested tolerance, or its
+    series would exceed the term budget."""
 
 
 class BrokenPhase(NhQubitError):

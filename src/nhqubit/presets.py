@@ -17,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, bath, entropy, qsl
-from ._backend import BACKEND
-from .bath import BathParams, DEFAULT_TOL
+from .bath import BACKEND, BathParams, DEFAULT_TOL
 from .dynamics import QubitParams, Symmetry, evolve_apt, evolve_pt
 from .scenario import write_csv
 
@@ -71,9 +70,9 @@ def _pt_sweep(quantity: str, tol: float):
         p = caption_pt(theta)
         if quantity == "phase_function":
             # The published curves plot the negative of the ramp kernel.
-            res = [bath.omega_pt(float(t), theta, CAPTION_BATH, tol) for t in ts]
-            max_err = max([max_err] + [r.abs_error for r in res])
-            col = -np.array([r.value for r in res])
+            res = bath.omega_pt(ts, theta, CAPTION_BATH, tol)
+            max_err = max(max_err, float(res.abs_error.max()))
+            col = -res.value
         else:
             traj = evolve_pt(p, CAPTION_BATH, ts, tol=tol)
             max_err = max(max_err, traj.max_quad_error)
@@ -91,12 +90,9 @@ def _apt_sweep(quantity: str, tol: float):
         p = caption_apt(xi, delta)
         if quantity == "phase_function":
             # Omega_2 - Omega_1: identical across (xi, delta) pairs.
-            o1 = [bath.omega1(float(t), p.theta, CAPTION_BATH, tol) for t in ts]
-            max_err = max([max_err] + [r.abs_error for r in o1])
-            col = np.array(
-                [bath.omega2(float(t), p.theta, CAPTION_BATH) - r.value
-                 for t, r in zip(ts, o1)]
-            )
+            o1 = bath.omega1(ts, p.theta, CAPTION_BATH, tol)
+            max_err = max(max_err, float(o1.abs_error.max()))
+            col = bath.omega2(ts, p.theta, CAPTION_BATH) - o1.value
         else:
             traj = evolve_apt(p, CAPTION_BATH, ts, tol=tol)
             max_err = max(max_err, traj.max_quad_error)

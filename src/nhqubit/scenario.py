@@ -35,8 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, entropy, qsl
-from ._backend import BACKEND
-from .bath import BathParams, DEFAULT_TOL
+from .bath import BACKEND, BathParams, DEFAULT_TOL
 from .dynamics import (
     QubitParams,
     Symmetry,
@@ -44,7 +43,7 @@ from .dynamics import (
     evolve_apt,
     evolve_pt,
 )
-from .errors import ConfigError, GridMismatch
+from .errors import ConfigError, DomainError, GridMismatch, NonPhysicalState
 from .linalg2 import DensityMatrix
 
 OUTPUT_KINDS = ("trajectory", "decoherence", "phase", "qsl", "entropy")
@@ -66,6 +65,9 @@ class Scenario:
             raise ConfigError("grid.n_points must be at least 3")
         if not self.t_max > 0:
             raise ConfigError("grid.t_max must be positive")
+        for q in self.entropy_orders:
+            if not q >= 0:
+                raise ConfigError(f"entropy order must be >= 0, got {q}")
         for out in self.outputs:
             if out not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {out!r}")
@@ -128,16 +130,22 @@ def _parse_pairs(text: str) -> dict[str, str]:
     return pairs
 
 
+def _number(key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+
+
 def _get_float(pairs: dict[str, str], key: str, default=None) -> float:
     if key not in pairs:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
-    raw = pairs.pop(key)
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: not a number: {raw!r}") from exc
+    value = _number(key, pairs.pop(key))
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def scenario_from_pairs(pairs: dict[str, str]) -> Scenario:
@@ -160,12 +168,15 @@ def scenario_from_pairs(pairs: dict[str, str]) -> Scenario:
         delta=_get_float(pairs, "qubit.delta"),
         symmetry=symmetry,
     )
-    bath_params = BathParams(
-        j0=_get_float(pairs, "bath.j0"),
-        omega_c=_get_float(pairs, "bath.omega_c"),
-        mu=_get_float(pairs, "bath.mu"),
-        beta=_get_float(pairs, "bath.beta"),
-    )
+    try:
+        bath_params = BathParams(
+            j0=_get_float(pairs, "bath.j0"),
+            omega_c=_get_float(pairs, "bath.omega_c"),
+            mu=_get_float(pairs, "bath.mu"),
+            beta=_get_float(pairs, "bath.beta"),
+        )
+    except DomainError as exc:
+        raise ConfigError(f"bath: {exc}") from exc
 
     preset_name = pairs.pop("initial.state", None)
     if preset_name is not None:
@@ -173,13 +184,16 @@ def scenario_from_pairs(pairs: dict[str, str]) -> Scenario:
             raise ConfigError(f"unknown initial state preset {preset_name!r}")
         initial = DensityMatrix.plus()
     else:
-        initial = DensityMatrix.from_expectations(
-            sz=_get_float(pairs, "initial.sz", 0.0),
-            coherence=complex(
-                _get_float(pairs, "initial.coherence_re", 0.5),
-                _get_float(pairs, "initial.coherence_im", 0.0),
-            ),
-        )
+        try:
+            initial = DensityMatrix.from_expectations(
+                sz=_get_float(pairs, "initial.sz", 0.0),
+                coherence=complex(
+                    _get_float(pairs, "initial.coherence_re", 0.5),
+                    _get_float(pairs, "initial.coherence_im", 0.0),
+                ),
+            )
+        except NonPhysicalState as exc:
+            raise ConfigError(f"initial state: {exc}") from exc
 
     outputs_raw = pairs.pop("outputs", "")
     outputs = tuple(s.strip() for s in outputs_raw.split(",") if s.strip())
@@ -188,16 +202,19 @@ def scenario_from_pairs(pairs: dict[str, str]) -> Scenario:
     orders = []
     for tok in orders_raw.split(","):
         tok = tok.strip()
-        if not tok:
-            continue
-        orders.append(math.inf if tok == "inf" else float(tok))
+        if tok:
+            orders.append(_number("entropy.orders", tok))
+
+    n_points = _get_float(pairs, "grid.n_points")
+    if not n_points.is_integer():
+        raise ConfigError(f"grid.n_points must be an integer, got {n_points!r}")
 
     scenario = Scenario(
         qubit=qubit,
         bath=bath_params,
         initial=initial,
         t_max=_get_float(pairs, "grid.t_max"),
-        n_points=int(_get_float(pairs, "grid.n_points")),
+        n_points=int(n_points),
         outputs=outputs,
         entropy_orders=tuple(orders),
         tol=_get_float(pairs, "tol", DEFAULT_TOL),

@@ -38,9 +38,14 @@ def _ramp(u):
 
 def _kernel(kind, w, t, beta):
     """Integrand divided by J(omega).  kind: 'gamma', 'phase_ramp',
-    'phase_bounded', 'gamma_t0' (coth replaced by 1)."""
+    'phase_bounded', 'gamma_t0' (coth replaced by 1), and the time
+    derivatives 'dgamma' and 'dphase_bounded'."""
     if kind == "gamma":
         return 4.0 * _one_minus_cos(w * t) / w**2 / np.tanh(0.5 * beta * w)
+    if kind == "dgamma":
+        return 4.0 * np.sin(w * t) / w / np.tanh(0.5 * beta * w)
+    if kind == "dphase_bounded":
+        return 4.0 * np.sin(w * t) / w
     if kind == "gamma_t0":
         return 4.0 * _one_minus_cos(w * t) / w**2
     if kind == "phase_ramp":

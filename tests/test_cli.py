@@ -124,7 +124,6 @@ class TestRun:
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            bath.clear_cache()
             scenario.run(sc, out)
             blobs.append((out / "decoherence.csv").read_bytes())
         assert blobs[0] == blobs[1]
@@ -136,7 +135,6 @@ class TestRun:
         for threads in ("1", "8"):
             monkeypatch.setenv("NHQUBIT_THREADS", threads)
             out = tmp_path / f"t{threads}"
-            bath.clear_cache()
             scenario.run(sc, out)
             blobs.append((out / "qsl.csv").read_bytes())
         assert blobs[0] == blobs[1]
@@ -206,15 +204,27 @@ class TestExitCodes:
 
     def test_quadrature_failure(self, pt_config, tmp_path, monkeypatch,
                                 capsys):
-        monkeypatch.setattr(bath, "EVAL_BUDGET", 50)
-        bath.clear_cache()
-        try:
-            code = cli.main(["run", str(pt_config),
-                             "--out", str(tmp_path / "q"),
-                             "--tol", "1e-13"])
-        finally:
-            bath.clear_cache()
+        monkeypatch.setattr(bath, "TERM_BUDGET", 50)
+        code = cli.main(["run", str(pt_config),
+                         "--out", str(tmp_path / "q"),
+                         "--tol", "1e-13"])
         assert code == 4
+
+    @pytest.mark.parametrize("old, new", [
+        ("bath.j0 = 1.0", "bath.j0 = -1"),
+        ("outputs = decoherence, entropy, qsl",
+         "outputs = entropy\nentropy.orders = 1, two"),
+        ("grid.n_points = 26", "grid.n_points = 3.9"),
+        ("outputs = decoherence, entropy, qsl",
+         "outputs = entropy\nentropy.orders = -1"),
+        ("initial.state = plus", "initial.sz = 2"),
+        ("grid.t_max = 5.0", "grid.t_max = inf"),
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, old, new):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(PT_CONFIG.replace(old, new))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_io_failure(self, pt_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"

