@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 broken symmetry phase,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bath import DEFAULT_TOL
@@ -72,7 +73,7 @@ def _cmd_run(args) -> int:
         return EXIT_OK
     scenario = load_scenario(args.config)
     if args.tol is not None:
-        scenario.tol = args.tol
+        scenario = dataclasses.replace(scenario, tol=args.tol)
     manifest = run(scenario, args.out)
     names = ", ".join(sorted(manifest["files"])) or "manifest only"
     print(f"wrote {names} to {args.out}")

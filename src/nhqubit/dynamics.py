@@ -3,20 +3,23 @@
 Both symmetry classes evolve under pure dephasing: populations are frozen
 in the appropriate frame while the coherence picks up a phase and the
 multiplicative damping D(t) = exp(-omega0^2 gamma(t)).
+
+A Trajectory holds the states as arrays over the time grid; DensityMatrix
+objects are built only on request (Trajectory.states).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bath
 from .bath import BathParams, DEFAULT_TOL
 from .errors import BrokenPhase
-from .linalg2 import DensityMatrix, as_matrix, opnorm
+from .linalg2 import DensityMatrix, as_matrix, check_physical, opnorm
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -68,6 +71,8 @@ class SpectralSplit:
 class Trajectory:
     """Time grid with per-time states, damping and accumulated phase.
 
+    p1[i], p2[i] and c[i] are the populations and upper coherence of the
+    physical-frame state at times[i], checked physical on construction.
     phase[i] is the coherence phase accumulated since t = 0 (the initial
     coherence's own argument is not included).  For Anti-PT trajectories
     lnorm_analytic holds |d rho/dt|_op from the differentiated closed form.
@@ -76,33 +81,45 @@ class Trajectory:
     symmetry: Symmetry
     omega0: float
     times: np.ndarray
-    states: list[DensityMatrix]
+    p1: np.ndarray
+    p2: np.ndarray
+    c: np.ndarray
     decoherence: np.ndarray
     phase: np.ndarray
-    initial_state: DensityMatrix
     max_quad_error: float
     rho0_diag: DensityMatrix | None = None
     lnorm_analytic: np.ndarray | None = None
-    raw_states: list[np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        check_physical(self.p1, self.p2, self.c)
 
     def __len__(self) -> int:
         return len(self.times)
 
-    def dephasing_states(self) -> list[DensityMatrix]:
-        """States in the frame where dephasing is diagonal: populations
-        frozen, coherence c0 * exp(i phase) * D.  Spectral quantities
-        (entropies) of the model are defined on these states; for Anti-PT
-        they coincide with the physical states."""
+    @property
+    def states(self) -> list[DensityMatrix]:
+        """Physical-frame states as DensityMatrix objects, built on demand."""
+        return _states(self.p1, self.p2, self.c)
+
+    def dephasing_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p1, p2, c) in the frame where dephasing is diagonal: populations
+        frozen, coherence c0 exp(i phase) D.  The entropies are defined on
+        these states; for Anti-PT they are the physical states."""
         if self.symmetry is Symmetry.ANTI_PT:
-            return self.states
+            return self.p1, self.p2, self.c
         base = self.rho0_diag
-        return [
-            DensityMatrix(
-                p1=base.p1, p2=base.p2,
-                c=base.c * complex(math.cos(phi), math.sin(phi)) * d,
-            )
-            for phi, d in zip(self.phase, self.decoherence)
-        ]
+        n = len(self)
+        return (np.full(n, base.p1), np.full(n, base.p2),
+                base.c * np.exp(1j * self.phase) * self.decoherence)
+
+    def dephasing_states(self) -> list[DensityMatrix]:
+        """The dephasing-frame states as DensityMatrix objects."""
+        return _states(*self.dephasing_frame())
+
+
+def _states(p1, p2, c) -> list[DensityMatrix]:
+    return [DensityMatrix(p1=float(a), p2=float(b), c=complex(z))
+            for a, b, z in zip(p1, p2, c)]
 
 
 def build_hamiltonian(p: QubitParams) -> np.ndarray:
@@ -184,15 +201,9 @@ def decoherence_function(p: QubitParams, b: BathParams, t: float,
 
 def evolve_pt(p: QubitParams, b: BathParams, times,
               rho0_diag: DensityMatrix | None = None,
-              tol: float = DEFAULT_TOL,
-              paper_normalization: bool = False) -> Trajectory:
+              tol: float = DEFAULT_TOL) -> Trajectory:
     """PT trajectory: the diagonal-frame state dephases in closed form and
-    is mapped back through T^-1, renormalized to unit trace at each time.
-
-    With paper_normalization=True the raw physical-frame matrices divided
-    by the t = 0 trace (which drifts away from unit trace) are additionally
-    stored in raw_states for comparison.
-    """
+    is mapped back through T^-1, renormalized to unit trace at each time."""
     if p.symmetry is not Symmetry.PT:
         raise ValueError("evolve_pt requires PT-class parameters")
     omega0 = _require_positive_split(p)
@@ -201,40 +212,34 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
         rho0_diag = DensityMatrix.plus()
 
     t_inv = np.linalg.inv(transformation_matrix(p))
-    p1d, p2d, c0 = rho0_diag.p1, rho0_diag.p2, rho0_diag.c
 
     g = bath.gamma(ts, b, tol)
     om = bath.omega_pt(ts, p.theta, b, tol)
     damping = np.exp(-(omega0**2) * g.value)
     phases = 2.0 * omega0 * ts - omega0 * om.value
-    coherences = c0 * np.exp(1j * phases) * damping
+    coherences = rho0_diag.c * np.exp(1j * phases) * damping
     max_err = float(max(g.abs_error.max(), om.abs_error.max()))
 
-    states: list[DensityMatrix] = []
-    raw_states: list[np.ndarray] = []
-    trace0 = None
-    for c_t in coherences:
-        rho_d = np.array([[p1d, c_t], [np.conj(c_t), p2d]], dtype=complex)
-        phys = t_inv @ rho_d @ t_inv.conj().T
-        phys = 0.5 * (phys + phys.conj().T)  # scrub rounding drift
-        tr = phys[0, 0].real + phys[1, 1].real
-        if trace0 is None:
-            trace0 = tr
-        states.append(DensityMatrix.from_matrix(phys / tr))
-        if paper_normalization:
-            raw_states.append(phys / trace0)
+    rho_d = np.empty((len(ts), 2, 2), dtype=complex)
+    rho_d[:, 0, 0] = rho0_diag.p1
+    rho_d[:, 0, 1] = coherences
+    rho_d[:, 1, 0] = coherences.conj()
+    rho_d[:, 1, 1] = rho0_diag.p2
+    phys = t_inv @ rho_d @ t_inv.conj().T
+    phys = 0.5 * (phys + phys.conj().swapaxes(-1, -2))  # scrub rounding drift
+    phys /= (phys[:, 0, 0].real + phys[:, 1, 1].real)[:, None, None]
 
     return Trajectory(
         symmetry=Symmetry.PT,
         omega0=omega0,
         times=ts,
-        states=states,
+        p1=phys[:, 0, 0].real,
+        p2=phys[:, 1, 1].real,
+        c=phys[:, 0, 1],
         decoherence=damping,
         phase=phases,
-        initial_state=states[0],
         max_quad_error=max_err,
         rho0_diag=rho0_diag,
-        raw_states=raw_states if paper_normalization else None,
     )
 
 
@@ -260,8 +265,6 @@ def evolve_apt(p: QubitParams, b: BathParams, times,
     phases = 2.0 * omega0 * ts - omega0 * (bath.omega2(ts, p.theta, b)
                                            - o1.value)
     coherences = rho0.c * np.exp(1j * phases) * damping
-    states = [DensityMatrix(p1=rho0.p1, p2=rho0.p2, c=complex(c_t))
-              for c_t in coherences]
     # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
     dphi = 2.0 * omega0 - omega0 * (bath.omega2_rate(ts, p.theta, b)
                                     - do1.value)
@@ -271,10 +274,11 @@ def evolve_apt(p: QubitParams, b: BathParams, times,
         symmetry=Symmetry.ANTI_PT,
         omega0=omega0,
         times=ts,
-        states=states,
+        p1=np.full(len(ts), rho0.p1),
+        p2=np.full(len(ts), rho0.p2),
+        c=coherences,
         decoherence=damping,
         phase=phases,
-        initial_state=rho0,
         max_quad_error=max_err,
         lnorm_analytic=lnorm,
     )

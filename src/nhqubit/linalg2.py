@@ -2,7 +2,9 @@
 
 Everything here uses closed forms (quadratic characteristic polynomial,
 explicit singular values) instead of general LAPACK routines, so results
-are fast, allocation-light and reproducible to the last bit.
+are fast, allocation-light and reproducible to the last bit.  The state
+formulas take the entries (p1, p2, c) of [[p1, c], [conj(c), p2]] as
+broadcastable arrays; DensityMatrix calls them with scalars.
 """
 
 from __future__ import annotations
@@ -112,6 +114,45 @@ def opnorm(m) -> float:
     return math.sqrt(max(0.5 * g + math.sqrt(rad), 0.0))
 
 
+def eigenvalue_pair(p1, p2, c, clamp: bool = True):
+    """Eigenvalues (lo, hi) of [[p1, c], [conj(c), p2]], elementwise;
+    clamp maps them into [0, 1]."""
+    mean = 0.5 * (p1 + p2)
+    abs_c = np.hypot(np.real(c), np.imag(c))
+    rad = np.sqrt(0.25 * (p1 - p2) ** 2 + abs_c**2)
+    lo, hi = mean - rad, mean + rad
+    if clamp:
+        lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+    return lo, hi
+
+
+def check_physical(p1, p2, c) -> None:
+    """Raise NonPhysicalState unless every state has unit trace and its
+    eigenvalues lie in [0, 1], within tolerance."""
+    tr = np.atleast_1d(p1 + p2)
+    bad = ~(np.abs(tr - 1.0) <= _TRACE_TOL)
+    if bad.any():
+        raise NonPhysicalState(
+            f"trace {float(tr[bad][0])!r} != 1 beyond tolerance")
+    lo, hi = map(np.atleast_1d, eigenvalue_pair(p1, p2, c, clamp=False))
+    bad = (lo < -_POSITIVITY_TOL) | (hi > 1.0 + _POSITIVITY_TOL)
+    if bad.any():
+        raise NonPhysicalState(f"eigenvalues ({float(lo[bad][0])}, "
+                               f"{float(hi[bad][0])}) outside [0, 1]")
+
+
+def state_fidelity(p1, p2, c, q1, q2, d):
+    """Uhlmann fidelity between the states (p1, p2, c) and (q1, q2, d),
+    elementwise: for qubits Tr(rho sigma) + 2 sqrt(det rho det sigma)."""
+    # Re(c conj(d)) in real arithmetic: numpy's vectorised complex product
+    # may fuse multiply-adds, so one state and a grid would round apart.
+    re_cd = np.real(c) * np.real(d) + np.imag(c) * np.imag(d)
+    tr_prod = p1 * q1 + p2 * q2 + 2.0 * re_cd
+    det_r = np.maximum(p1 * p2 - np.hypot(np.real(c), np.imag(c)) ** 2, 0.0)
+    det_s = np.maximum(q1 * q2 - np.hypot(np.real(d), np.imag(d)) ** 2, 0.0)
+    return np.clip(tr_prod + 2.0 * np.sqrt(det_r * det_s), 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A physical qubit state: Hermitian by construction, unit trace.
@@ -125,12 +166,7 @@ class DensityMatrix:
     c: complex
 
     def __post_init__(self):
-        tr = self.p1 + self.p2
-        if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_TOL:
-            raise NonPhysicalState(f"trace {tr!r} != 1 beyond tolerance")
-        lo, hi = self.eigenvalues(clamp=False)
-        if lo < -_POSITIVITY_TOL or hi > 1.0 + _POSITIVITY_TOL:
-            raise NonPhysicalState(f"eigenvalues ({lo}, {hi}) outside [0, 1]")
+        check_physical(self.p1, self.p2, self.c)
 
     @classmethod
     def from_matrix(cls, m, normalize: bool = False) -> "DensityMatrix":
@@ -162,31 +198,16 @@ class DensityMatrix:
 
     def eigenvalues(self, clamp: bool = True) -> tuple[float, float]:
         """Eigenvalue pair (lo, hi); clamp maps tiny negatives to 0."""
-        mean = 0.5 * (self.p1 + self.p2)
-        rad = math.sqrt(0.25 * (self.p1 - self.p2) ** 2 + abs(self.c) ** 2)
-        lo, hi = mean - rad, mean + rad
-        if clamp:
-            lo = min(max(lo, 0.0), 1.0)
-            hi = min(max(hi, 0.0), 1.0)
-        return lo, hi
+        lo, hi = eigenvalue_pair(self.p1, self.p2, self.c, clamp)
+        return float(lo), float(hi)
 
     def sigma_z(self) -> float:
         return self.p1 - self.p2
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2.
-
-    For qubits this reduces to Tr(rho sigma) + 2 sqrt(det rho * det sigma).
-    """
+    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2."""
     if not isinstance(rho, DensityMatrix) or not isinstance(sigma, DensityMatrix):
         raise NonPhysicalState("fidelity requires DensityMatrix arguments")
-    tr_prod = (
-        rho.p1 * sigma.p1
-        + rho.p2 * sigma.p2
-        + 2.0 * (rho.c * np.conj(sigma.c)).real
-    )
-    det_r = max(rho.p1 * rho.p2 - abs(rho.c) ** 2, 0.0)
-    det_s = max(sigma.p1 * sigma.p2 - abs(sigma.c) ** 2, 0.0)
-    f = tr_prod + 2.0 * math.sqrt(det_r * det_s)
-    return min(max(f, 0.0), 1.0)
+    return float(state_fidelity(rho.p1, rho.p2, rho.c,
+                                sigma.p1, sigma.p2, sigma.c))

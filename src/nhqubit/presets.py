@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, bath, entropy, qsl
 from .bath import BACKEND, BathParams, DEFAULT_TOL
 from .dynamics import QubitParams, Symmetry, evolve_apt, evolve_pt
-from .scenario import write_csv
+from .scenario import check_tol, write_csv
 
 CAPTION_BATH = BathParams(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)
 
@@ -55,51 +55,49 @@ class Preset:
     build: Callable[[float], tuple[list[str], list[np.ndarray], float]]
 
 
-def _pt_label(theta: float) -> str:
-    return f"theta_{theta:g}"
-
-def _apt_label(xi: float, delta: float) -> str:
-    return f"xi_{xi:g}_delta_{delta:g}"
-
-
-def _pt_sweep(quantity: str, tol: float):
-    ts = grid()
-    header, cols = ["t"], [ts]
-    max_err = 0.0
-    for theta in PT_THETAS:
-        p = caption_pt(theta)
-        if quantity == "phase_function":
-            # The published curves plot the negative of the ramp kernel.
-            res = bath.omega_pt(ts, theta, CAPTION_BATH, tol)
-            max_err = max(max_err, float(res.abs_error.max()))
-            col = -res.value
+def _sweep(symmetry: Symmetry, *quantities: str):
+    """Preset builder: a column per quantity and parameter set of the
+    class's sweep, grouped by quantity."""
+    def build(tol: float):
+        ts = grid()
+        if symmetry is Symmetry.PT:
+            cases = [(caption_pt(theta), f"theta_{theta:g}")
+                     for theta in PT_THETAS]
+            evolve = evolve_pt
         else:
-            traj = evolve_pt(p, CAPTION_BATH, ts, tol=tol)
-            max_err = max(max_err, traj.max_quad_error)
-            col = _trajectory_column(traj, quantity)
-        header.append(f"{quantity}_{_pt_label(theta)}")
-        cols.append(col)
-    return header, cols, max_err
+            cases = [(caption_apt(xi, delta), f"xi_{xi:g}_delta_{delta:g}")
+                     for xi, delta in APT_PAIRS]
+            evolve = evolve_apt
+        header, cols = ["t"], [ts]
+        max_err = 0.0
+        for quantity in quantities:
+            for p, label in cases:
+                if quantity == "phase_function":
+                    col, err = _phase_function(p, ts, tol)
+                else:
+                    traj = evolve(p, CAPTION_BATH, ts, tol=tol)
+                    col = _trajectory_column(traj, quantity)
+                    err = traj.max_quad_error
+                max_err = max(max_err, err)
+                header.append(f"{quantity}_{label}")
+                cols.append(col)
+        return header, cols, max_err
+    return build
 
 
-def _apt_sweep(quantity: str, tol: float):
-    ts = grid()
-    header, cols = ["t"], [ts]
-    max_err = 0.0
-    for xi, delta in APT_PAIRS:
-        p = caption_apt(xi, delta)
-        if quantity == "phase_function":
-            # Omega_2 - Omega_1: identical across (xi, delta) pairs.
-            o1 = bath.omega1(ts, p.theta, CAPTION_BATH, tol)
-            max_err = max(max_err, float(o1.abs_error.max()))
-            col = bath.omega2(ts, p.theta, CAPTION_BATH) - o1.value
-        else:
-            traj = evolve_apt(p, CAPTION_BATH, ts, tol=tol)
-            max_err = max(max_err, traj.max_quad_error)
-            col = _trajectory_column(traj, quantity)
-        header.append(f"{quantity}_{_apt_label(xi, delta)}")
-        cols.append(col)
-    return header, cols, max_err
+def _phase_function(p: QubitParams, ts: np.ndarray, tol: float):
+    if p.symmetry is Symmetry.PT:
+        # The published curves plot the negative of the ramp kernel.
+        res = bath.omega_pt(ts, p.theta, CAPTION_BATH, tol)
+        return -res.value, float(res.abs_error.max())
+    # Omega_2 - Omega_1: identical across (xi, delta) pairs.
+    o1 = bath.omega1(ts, p.theta, CAPTION_BATH, tol)
+    return (bath.omega2(ts, p.theta, CAPTION_BATH) - o1.value,
+            float(o1.abs_error.max()))
+
+
+# Renyi order of each entropy column.
+_ORDERS = {"S0": 0.0, "S1": 1.0, "S2": 2.0, "Sinf": math.inf}
 
 
 def _trajectory_column(traj, quantity: str) -> np.ndarray:
@@ -107,16 +105,11 @@ def _trajectory_column(traj, quantity: str) -> np.ndarray:
         return traj.decoherence
     if quantity == "v_qsl":
         return qsl.qsl_series(traj).v_qsl
-    if quantity == "S1":
-        return entropy.entropy_series(traj, [1.0])[1.0]
     if quantity == "S1_closed":
-        return np.array(
-            [entropy.von_neumann_closed_form(d) for d in traj.decoherence]
-        )
-    if quantity == "S2":
-        return entropy.entropy_series(traj, [2.0])[2.0]
-    if quantity == "Sinf":
-        return entropy.entropy_series(traj, [math.inf])[math.inf]
+        return entropy.von_neumann_closed_form(traj.decoherence)
+    if quantity in _ORDERS:
+        q = _ORDERS[quantity]
+        return entropy.entropy_series(traj, [q])[q]
     raise ValueError(f"unknown preset quantity {quantity!r}")
 
 
@@ -124,18 +117,10 @@ def _entropy0_both(tol: float):
     ts = grid()
     traj_pt = evolve_pt(caption_pt(), CAPTION_BATH, ts, tol=tol)
     traj_apt = evolve_apt(caption_apt(), CAPTION_BATH, ts, tol=tol)
-    cols = [ts,
-            np.array([entropy.renyi0(s) for s in traj_pt.dephasing_states()]),
-            np.array([entropy.renyi0(s) for s in traj_apt.dephasing_states()])]
+    cols = [ts, _trajectory_column(traj_pt, "S0"),
+            _trajectory_column(traj_apt, "S0")]
     max_err = max(traj_pt.max_quad_error, traj_apt.max_quad_error)
     return ["t", "S0_pt", "S0_apt"], cols, max_err
-
-
-def _entropy1_sweep(sweep, tol: float):
-    # Solid (order-1 Renyi) and dotted (closed-form Von Neumann) curves.
-    h1, c1, e1 = sweep("S1", tol)
-    h2, c2, e2 = sweep("S1_closed", tol)
-    return h1 + h2[1:], c1 + c2[1:], max(e1, e2)
 
 
 def _make_presets() -> list[Preset]:
@@ -151,44 +136,44 @@ def _make_presets() -> list[Preset]:
     return [
         Preset("fig_pt_phase",
                "PT phase evolution function (negated ramp kernel) vs theta",
-               pt_params, lambda tol: _pt_sweep("phase_function", tol)),
+               pt_params, _sweep(Symmetry.PT, "phase_function")),
         Preset("fig_pt_decoherence",
                "PT decoherence function D(t) vs theta",
-               pt_params, lambda tol: _pt_sweep("D", tol)),
+               pt_params, _sweep(Symmetry.PT, "D")),
         Preset("fig_apt_phase",
                "Anti-PT phase evolution function, identical across "
                "(xi, delta) pairs",
-               apt_params, lambda tol: _apt_sweep("phase_function", tol)),
+               apt_params, _sweep(Symmetry.ANTI_PT, "phase_function")),
         Preset("fig_apt_decoherence",
                "Anti-PT decoherence function D(t) vs (xi, delta)",
-               apt_params, lambda tol: _apt_sweep("D", tol)),
+               apt_params, _sweep(Symmetry.ANTI_PT, "D")),
         Preset("fig_apt_vs_pt_entropy0",
                "Zero-order Renyi entropy for both classes (constant log 2)",
                both_params, _entropy0_both),
         Preset("fig_pt_qsl",
                "PT speed-limit velocity V_QSL(t) vs theta",
-               pt_params, lambda tol: _pt_sweep("v_qsl", tol)),
+               pt_params, _sweep(Symmetry.PT, "v_qsl")),
         Preset("fig_apt_qsl",
                "Anti-PT speed-limit velocity V_QSL(t) vs (xi, delta)",
-               apt_params, lambda tol: _apt_sweep("v_qsl", tol)),
+               apt_params, _sweep(Symmetry.ANTI_PT, "v_qsl")),
         Preset("fig_pt_entropy1",
                "PT first-order Renyi vs closed-form Von Neumann entropy",
-               pt_params, lambda tol: _entropy1_sweep(_pt_sweep, tol)),
+               pt_params, _sweep(Symmetry.PT, "S1", "S1_closed")),
         Preset("fig_apt_entropy1",
                "Anti-PT first-order Renyi vs closed-form Von Neumann entropy",
-               apt_params, lambda tol: _entropy1_sweep(_apt_sweep, tol)),
+               apt_params, _sweep(Symmetry.ANTI_PT, "S1", "S1_closed")),
         Preset("fig_pt_entropy2",
                "PT second-order (collision) Renyi entropy vs theta",
-               pt_params, lambda tol: _pt_sweep("S2", tol)),
+               pt_params, _sweep(Symmetry.PT, "S2")),
         Preset("fig_apt_entropy2",
                "Anti-PT second-order (collision) Renyi entropy vs (xi, delta)",
-               apt_params, lambda tol: _apt_sweep("S2", tol)),
+               apt_params, _sweep(Symmetry.ANTI_PT, "S2")),
         Preset("fig_pt_entropy_inf",
                "PT min-entropy vs theta",
-               pt_params, lambda tol: _pt_sweep("Sinf", tol)),
+               pt_params, _sweep(Symmetry.PT, "Sinf")),
         Preset("fig_apt_entropy_inf",
                "Anti-PT min-entropy vs (xi, delta)",
-               apt_params, lambda tol: _apt_sweep("Sinf", tol)),
+               apt_params, _sweep(Symmetry.ANTI_PT, "Sinf")),
     ]
 
 
@@ -203,6 +188,7 @@ def list_presets() -> list[tuple[str, str]]:
 def run_preset(name: str, outdir, tol: float = DEFAULT_TOL) -> dict:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; see list-presets")
+    check_tol(tol)
     preset = PRESETS[name]
     header, cols, max_err = preset.build(tol)
     outdir = Path(outdir)

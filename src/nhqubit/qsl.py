@@ -3,7 +3,8 @@
 V_QSL(t) = |L(rho(t))|_op / (2 sin A cos A) with A the Bures angle between
 rho(0) and rho(t); tau_QSL(tau) = sin^2 A(tau) / time-average of |L|_op.
 V_QSL is genuinely singular at A in {0, pi/2}; those points are reported
-as errors (or NaN in series form), never clamped.
+as errors (or NaN in series form), never clamped.  Angles and norms are
+computed over the whole grid from the trajectory's (p1, p2, c) arrays.
 """
 
 from __future__ import annotations
@@ -14,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import (
-    AngleSingularity,
-    DegenerateTrajectory,
-    GridTooCoarse,
-)
-from .linalg2 import DensityMatrix, fidelity, opnorm
+from .errors import AngleSingularity, DegenerateTrajectory, GridTooCoarse
+from .linalg2 import DensityMatrix, state_fidelity
 
 ANGLE_TOL = 1e-9
 
@@ -33,98 +30,111 @@ class QslSeries:
     tau_qsl: float
 
 
+def _angles(p1, p2, c, q1, q2, d):
+    """arccos sqrt(fidelity) between the states (p1, p2, c) and (q1, q2, d),
+    elementwise; exactly 0 between identical states."""
+    same = (p1 == q1) & (p2 == q2) & (c == d)
+    root = np.sqrt(state_fidelity(p1, p2, c, q1, q2, d))
+    return np.where(same, 0.0, np.arccos(root))
+
+
 def bures_angle(rho0: DensityMatrix, rhot: DensityMatrix) -> float:
-    """arccos sqrt(fidelity), clamped to [0, pi/2]."""
-    if rho0 == rhot:
-        return 0.0
-    root = math.sqrt(fidelity(rho0, rhot))
-    return math.acos(min(max(root, 0.0), 1.0))
+    """arccos sqrt(fidelity), in [0, pi/2]."""
+    return float(_angles(rho0.p1, rho0.p2, rho0.c, rhot.p1, rhot.p2, rhot.c))
 
 
-def _three_point_weights(t: np.ndarray, at: float) -> np.ndarray:
-    """Derivative of the Lagrange interpolant through 3 nodes, at `at`."""
-    t0, t1, t2 = t
-    return np.array([
-        (2 * at - t1 - t2) / ((t0 - t1) * (t0 - t2)),
-        (2 * at - t0 - t2) / ((t1 - t0) * (t1 - t2)),
-        (2 * at - t0 - t1) / ((t2 - t0) * (t2 - t1)),
-    ])
+def _angles_from_start(traj: Trajectory) -> np.ndarray:
+    """Bures angle between state 0 and each state of the trajectory."""
+    return _angles(traj.p1[0], traj.p2[0], traj.c[0], traj.p1, traj.p2, traj.c)
+
+
+def _norms(traj: Trajectory, force_numeric: bool = False) -> np.ndarray:
+    """|d rho/dt|_op at every grid point: the differentiated closed form
+    when the trajectory carries it (Anti-PT), else a second-order finite-
+    difference stencil (central inside, one-sided at the ends).  d rho/dt
+    is Hermitian, so its operator norm is |mean of the diagonal| +
+    hypot(half the diagonal difference, |off-diagonal|)."""
+    if traj.lnorm_analytic is not None and not force_numeric:
+        return traj.lnorm_analytic
+    n = len(traj)
+    if n < 3:
+        raise GridTooCoarse("second-order stencil needs at least 3 grid points")
+    lo = np.clip(np.arange(n) - 1, 0, n - 3)
+    t = traj.times
+    t0, t1, t2 = t[lo], t[lo + 1], t[lo + 2]
+    # Derivative of the Lagrange interpolant through the 3 nodes, at t.
+    w0 = (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+    w1 = (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+    w2 = (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+
+    def deriv(x):
+        return w0 * x[lo] + w1 * x[lo + 1] + w2 * x[lo + 2]
+
+    dp1, dp2, dc = deriv(traj.p1), deriv(traj.p2), deriv(traj.c)
+    return np.abs(0.5 * (dp1 + dp2)) + np.hypot(
+        0.5 * (dp1 - dp2), np.hypot(dc.real, dc.imag))
 
 
 def liouvillian_norm(traj: Trajectory, index: int,
                      force_numeric: bool = False) -> float:
-    """|d rho/dt|_op at grid point `index`.
-
-    Uses the differentiated closed form when the trajectory carries it
-    (Anti-PT); otherwise a second-order finite-difference stencil on the
-    grid (central in the interior, one-sided at the endpoints).
-    """
+    """|d rho/dt|_op at grid point `index` (see _norms)."""
     n = len(traj)
     if not 0 <= index < n:
         raise IndexError(f"index {index} outside grid of length {n}")
-    if traj.lnorm_analytic is not None and not force_numeric:
-        return float(traj.lnorm_analytic[index])
-    if n < 3:
-        raise GridTooCoarse("second-order stencil needs at least 3 grid points")
-    lo = min(max(index - 1, 0), n - 3)
-    ts = traj.times[lo:lo + 3]
-    w = _three_point_weights(ts, traj.times[index])
-    drho = sum(wk * traj.states[lo + k].matrix for k, wk in enumerate(w))
-    return opnorm(drho)
+    return float(_norms(traj, force_numeric)[index])
+
+
+def _singular(angle):
+    return (angle < ANGLE_TOL) | (angle > 0.5 * math.pi - ANGLE_TOL)
+
+
+def _velocity(norm, angle):
+    """|L|_op / sin 2A, NaN where the angle is singular."""
+    singular = _singular(angle)
+    return np.where(singular, np.nan,
+                    norm / np.sin(2.0 * np.where(singular, 1.0, angle)))
 
 
 def v_qsl(traj: Trajectory, index: int) -> float:
     """Speed-limit velocity at a grid point; singular at angle 0 or pi/2."""
-    angle = bures_angle(traj.states[0], traj.states[index])
-    if angle < ANGLE_TOL or angle > 0.5 * math.pi - ANGLE_TOL:
+    angle = float(_angles_from_start(traj)[index])
+    if _singular(angle):
         raise AngleSingularity(
             f"Bures angle {angle:.3e} at t={traj.times[index]} makes "
             "V_QSL undefined"
         )
-    return liouvillian_norm(traj, index) / math.sin(2.0 * angle)
+    return float(_velocity(liouvillian_norm(traj, index), angle))
 
 
-def _horizon_index(traj: Trajectory, horizon: float) -> int:
+def _tau(traj: Trajectory, angles, norms, horizon: float) -> float:
+    """tau_QSL over [0, horizon]; horizon must be a positive grid point."""
     idx = int(np.argmin(np.abs(traj.times - horizon)))
     if not math.isclose(traj.times[idx], horizon, rel_tol=1e-12, abs_tol=1e-12):
         raise ValueError(f"horizon {horizon} is not a grid point")
-    return idx
+    if idx == 0:
+        raise ValueError("horizon must be positive")
+    avg = np.trapezoid(norms[:idx + 1], traj.times[:idx + 1]) / traj.times[idx]
+    if avg < 1e-15:
+        raise DegenerateTrajectory(
+            f"trajectory shows no motion on [0, {horizon}]")
+    return math.sin(angles[idx]) ** 2 / avg
 
 
 def tau_qsl(traj: Trajectory, horizon: float) -> float:
     """Speed-limit time over [0, horizon]; horizon must be a grid point."""
-    idx = _horizon_index(traj, horizon)
-    if idx == 0:
-        raise ValueError("horizon must be positive")
-    norms = np.array([liouvillian_norm(traj, i) for i in range(idx + 1)])
-    avg = np.trapezoid(norms, traj.times[:idx + 1]) / traj.times[idx]
-    if avg < 1e-15:
-        raise DegenerateTrajectory(
-            f"trajectory shows no motion on [0, {horizon}]"
-        )
-    angle = bures_angle(traj.states[0], traj.states[idx])
-    return math.sin(angle) ** 2 / avg
+    return _tau(traj, _angles_from_start(traj), _norms(traj), horizon)
 
 
 def qsl_series(traj: Trajectory, horizon: float | None = None) -> QslSeries:
     """Per-time angle/norm/velocity plus tau_QSL at `horizon` (grid end by
     default).  Velocity is NaN wherever the angle singularity applies."""
-    n = len(traj)
-    angles = np.array(
-        [bures_angle(traj.states[0], s) for s in traj.states]
-    )
-    norms = np.array([liouvillian_norm(traj, i) for i in range(n)])
-    vel = np.full(n, np.nan)
-    for i in range(n):
-        try:
-            vel[i] = v_qsl(traj, i)
-        except AngleSingularity:
-            pass
-    tau = tau_qsl(traj, traj.times[-1] if horizon is None else horizon)
+    angles = _angles_from_start(traj)
+    norms = _norms(traj)
     return QslSeries(
         times=traj.times,
         bures_angle=angles,
         liouvillian_norm=norms,
-        v_qsl=vel,
-        tau_qsl=tau,
+        v_qsl=_velocity(norms, angles),
+        tau_qsl=_tau(traj, angles, norms,
+                     traj.times[-1] if horizon is None else horizon),
     )

@@ -29,24 +29,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, entropy, qsl
 from .bath import BACKEND, BathParams, DEFAULT_TOL
-from .dynamics import (
-    QubitParams,
-    Symmetry,
-    Trajectory,
-    evolve_apt,
-    evolve_pt,
-)
+from .dynamics import QubitParams, Symmetry, Trajectory, evolve_apt, evolve_pt
 from .errors import ConfigError, DomainError, GridMismatch, NonPhysicalState
 from .linalg2 import DensityMatrix
 
 OUTPUT_KINDS = ("trajectory", "decoherence", "phase", "qsl", "entropy")
+
+
+def check_tol(tol: float) -> None:
+    """Reject a tolerance no bath kernel can meet (zero, negative, NaN)."""
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
 
 
 @dataclass
@@ -71,6 +71,7 @@ class Scenario:
         for out in self.outputs:
             if out not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {out!r}")
+        check_tol(self.tol)
 
     @property
     def times(self) -> np.ndarray:
@@ -85,19 +86,9 @@ class Scenario:
 
     def describe(self) -> dict:
         return {
-            "qubit": {
-                "symmetry": self.qubit.symmetry.value,
-                "alpha": self.qubit.alpha,
-                "theta": self.qubit.theta,
-                "xi": self.qubit.xi,
-                "delta": self.qubit.delta,
-            },
-            "bath": {
-                "j0": self.bath.j0,
-                "omega_c": self.bath.omega_c,
-                "mu": self.bath.mu,
-                "beta": self.bath.beta,
-            },
+            "qubit": {**asdict(self.qubit),
+                      "symmetry": self.qubit.symmetry.value},
+            "bath": asdict(self.bath),
             "initial": {
                 "sz": self.initial.sigma_z(),
                 "coherence_re": self.initial.c.real,
@@ -265,48 +256,30 @@ def run(scenario: Scenario, outdir, preset_name: str | None = None) -> dict:
         traj = scenario.evolve()
         ts = traj.times
 
+        def emit(kind: str, header: list[str], columns: list) -> None:
+            write_csv(outdir / f"{kind}.csv", header, columns)
+            manifest["files"][kind] = f"{kind}.csv"
+            manifest["max_quad_error"][kind] = traj.max_quad_error
+
         if "trajectory" in scenario.outputs:
-            cols = [ts,
-                    np.array([s.p1 for s in traj.states]),
-                    np.array([s.c.real for s in traj.states]),
-                    np.array([s.c.imag for s in traj.states]),
-                    np.array([s.p2 for s in traj.states])]
-            write_csv(outdir / "trajectory.csv",
-                      ["t", "rho11", "re_rho12", "im_rho12", "rho22"], cols)
-            manifest["files"]["trajectory"] = "trajectory.csv"
-            manifest["max_quad_error"]["trajectory"] = traj.max_quad_error
-
+            emit("trajectory", ["t", "rho11", "re_rho12", "im_rho12", "rho22"],
+                 [ts, traj.p1, traj.c.real, traj.c.imag, traj.p2])
         if "decoherence" in scenario.outputs:
-            write_csv(outdir / "decoherence.csv", ["t", "D"],
-                      [ts, traj.decoherence])
-            manifest["files"]["decoherence"] = "decoherence.csv"
-            manifest["max_quad_error"]["decoherence"] = traj.max_quad_error
-
+            emit("decoherence", ["t", "D"], [ts, traj.decoherence])
         if "phase" in scenario.outputs:
-            write_csv(outdir / "phase.csv", ["t", "phase"], [ts, traj.phase])
-            manifest["files"]["phase"] = "phase.csv"
-            manifest["max_quad_error"]["phase"] = traj.max_quad_error
-
+            emit("phase", ["t", "phase"], [ts, traj.phase])
         if "qsl" in scenario.outputs:
             series = qsl.qsl_series(traj)
-            write_csv(outdir / "qsl.csv",
-                      ["t", "bures_angle", "liouvillian_norm", "v_qsl"],
-                      [ts, series.bures_angle, series.liouvillian_norm,
-                       series.v_qsl])
-            manifest["files"]["qsl"] = "qsl.csv"
+            emit("qsl", ["t", "bures_angle", "liouvillian_norm", "v_qsl"],
+                 [ts, series.bures_angle, series.liouvillian_norm,
+                  series.v_qsl])
             manifest["tau_qsl"] = series.tau_qsl
-            manifest["max_quad_error"]["qsl"] = traj.max_quad_error
-
         if "entropy" in scenario.outputs:
             table = entropy.entropy_series(traj, scenario.entropy_orders)
-            header = ["t"]
-            cols = [ts]
-            for q, vals in table.items():
-                header.append("S_inf" if math.isinf(q) else f"S_{q:g}")
-                cols.append(vals)
-            write_csv(outdir / "entropy.csv", header, cols)
-            manifest["files"]["entropy"] = "entropy.csv"
-            manifest["max_quad_error"]["entropy"] = traj.max_quad_error
+            emit("entropy",
+                 ["t"] + ["S_inf" if math.isinf(q) else f"S_{q:g}"
+                          for q in table],
+                 [ts, *table.values()])
 
     with open(outdir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -219,11 +219,25 @@ class TestExitCodes:
          "outputs = entropy\nentropy.orders = -1"),
         ("initial.state = plus", "initial.sz = 2"),
         ("grid.t_max = 5.0", "grid.t_max = inf"),
+        pytest.param("grid.t_max = 5.0", "grid.t_max = 5.0\ntol = -1",
+                     id="tol-negative"),
+        pytest.param("grid.t_max = 5.0", "grid.t_max = 5.0\ntol = 0",
+                     id="tol-zero"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, old, new):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(PT_CONFIG.replace(old, new))
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("source", ["config", "preset"])
+    def test_bad_tol_option(self, pt_config, tmp_path, capsys, tol, source):
+        target = ([str(pt_config)] if source == "config"
+                  else ["--preset", "fig_pt_phase"])
+        code = cli.main(["run", *target, "--out", str(tmp_path / "o"),
+                         "--tol", tol])
+        assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_io_failure(self, pt_config, tmp_path, capsys):

@@ -123,16 +123,6 @@ class TestEvolvePT:
     def test_phase_starts_at_zero(self, traj):
         assert traj.phase[0] == 0.0
 
-    def test_paper_normalization_trace_drift(self, caption_bath):
-        ts = np.linspace(0.0, 10.0, 11)
-        traj = evolve_pt(CAPTION_PT, caption_bath, ts,
-                         paper_normalization=True)
-        traces = [np.trace(m).real for m in traj.raw_states]
-        assert traces[0] == pytest.approx(1.0, abs=1e-12)
-        # The t = 0 normalization does not keep later traces at unity,
-        # which is why emitted states are renormalized per time instead.
-        assert abs(traces[-1] - 1.0) > 1e-3
-
     def test_wrong_class_rejected(self, caption_bath):
         with pytest.raises(ValueError):
             evolve_pt(CAPTION_APT, caption_bath, [0.0, 1.0, 2.0])

@@ -24,19 +24,15 @@ def apt_traj(caption_bath):
 def _synthetic_rotation(n=401, t_max=2.0, rate=1.3, amplitude=0.4):
     """Pure phase wobble: |c| constant, gamma identically zero."""
     ts = np.linspace(0.0, t_max, n)
-    states = [
-        DensityMatrix(p1=0.5, p2=0.5,
-                      c=amplitude * np.exp(1j * rate * t))
-        for t in ts
-    ]
     return Trajectory(
         symmetry=Symmetry.ANTI_PT,
         omega0=1.0,
         times=ts,
-        states=states,
+        p1=np.full(n, 0.5),
+        p2=np.full(n, 0.5),
+        c=amplitude * np.exp(1j * rate * ts),
         decoherence=np.ones(n),
         phase=rate * ts,
-        initial_state=states[0],
         max_quad_error=0.0,
     )
 
