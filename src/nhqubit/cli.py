@@ -6,8 +6,10 @@ Verbs:
     nhqubit list-presets
     nhqubit compare CONFIG_A CONFIG_B [--out DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 broken symmetry phase,
-4 bath-kernel failure (error bound above tolerance), 5 I/O error.
+Exit codes: 0 success, 2 configuration error (any other domain error a
+config reaches, such as a trajectory with nothing to measure, counts as
+one), 3 broken symmetry phase, 4 bath-kernel failure (error bound above
+tolerance), 5 I/O error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     BrokenPhase,
     ConfigError,
     GridMismatch,
+    NhQubitError,
     QuadratureDivergence,
 )
 from .presets import list_presets, run_preset
@@ -111,6 +114,9 @@ def main(argv=None) -> int:
     except QuadratureDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except NhQubitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -6,6 +6,11 @@ multiplicative damping D(t) = exp(-omega0^2 gamma(t)).
 
 A Trajectory holds the states as arrays over the time grid; DensityMatrix
 objects are built only on request (Trajectory.states).
+
+evolve() takes a parameter sweep in one bath: gamma(t) (and d gamma/dt for
+Anti-PT) depends only on the bath and the grid, so it is evaluated once per
+call and shared; each qubit then adds its own theta-dependent kernels.
+evolve_pt and evolve_apt are one-qubit calls of it.
 """
 
 from __future__ import annotations
@@ -199,21 +204,10 @@ def decoherence_function(p: QubitParams, b: BathParams, t: float,
     return math.exp(-(omega0**2) * bath.gamma(t, b, tol).value)
 
 
-def evolve_pt(p: QubitParams, b: BathParams, times,
-              rho0_diag: DensityMatrix | None = None,
-              tol: float = DEFAULT_TOL) -> Trajectory:
-    """PT trajectory: the diagonal-frame state dephases in closed form and
-    is mapped back through T^-1, renormalized to unit trace at each time."""
-    if p.symmetry is not Symmetry.PT:
-        raise ValueError("evolve_pt requires PT-class parameters")
-    omega0 = _require_positive_split(p)
-    ts = _validate_times(times)
-    if rho0_diag is None:
-        rho0_diag = DensityMatrix.plus()
-
+def _pt_trajectory(p, omega0, b, ts, rho0_diag, g, tol) -> Trajectory:
+    """One PT trajectory on the validated grid ts, given gamma there."""
     t_inv = np.linalg.inv(transformation_matrix(p))
 
-    g = bath.gamma(ts, b, tol)
     om = bath.omega_pt(ts, p.theta, b, tol)
     damping = np.exp(-(omega0**2) * g.value)
     phases = 2.0 * omega0 * ts - omega0 * om.value
@@ -243,21 +237,9 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
     )
 
 
-def evolve_apt(p: QubitParams, b: BathParams, times,
-               rho0: DensityMatrix | None = None,
-               tol: float = DEFAULT_TOL) -> Trajectory:
-    """Anti-PT trajectory: populations frozen, coherence damped by D(t)
-    with phase 2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
-    if p.symmetry is not Symmetry.ANTI_PT:
-        raise ValueError("evolve_apt requires Anti-PT-class parameters")
-    omega0 = _require_positive_split(p)
-    ts = _validate_times(times)
-    if rho0 is None:
-        rho0 = DensityMatrix.plus()
-
-    g = bath.gamma(ts, b, tol)
+def _apt_trajectory(p, omega0, b, ts, rho0, g, dg, tol) -> Trajectory:
+    """One Anti-PT trajectory, given gamma and d gamma/dt on ts."""
     o1 = bath.omega1(ts, p.theta, b, tol)
-    dg = bath.gamma_rate(ts, b, tol)
     do1 = bath.omega1_rate(ts, p.theta, b, tol)
     max_err = float(max(r.abs_error.max() for r in (g, o1, dg, do1)))
 
@@ -282,3 +264,45 @@ def evolve_apt(p: QubitParams, b: BathParams, times,
         max_quad_error=max_err,
         lnorm_analytic=lnorm,
     )
+
+
+def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
+           tol: float = DEFAULT_TOL) -> list[Trajectory]:
+    """Trajectories of a parameter sweep in one bath, in the order given.
+
+    initial is the diagonal-frame state for PT qubits and the physical
+    state for Anti-PT ones (|+> by default).  gamma depends only on the bath
+    and the grid, so it is evaluated once per call, and d gamma/dt once if
+    any qubit is Anti-PT; the theta-dependent kernels stay per qubit.
+    """
+    omegas = [_require_positive_split(p) for p in qubits]
+    ts = _validate_times(times)
+    if initial is None:
+        initial = DensityMatrix.plus()
+    g = bath.gamma(ts, b, tol)
+    dg = (bath.gamma_rate(ts, b, tol)
+          if any(p.symmetry is Symmetry.ANTI_PT for p in qubits) else None)
+    return [_pt_trajectory(p, omega0, b, ts, initial, g, tol)
+            if p.symmetry is Symmetry.PT
+            else _apt_trajectory(p, omega0, b, ts, initial, g, dg, tol)
+            for p, omega0 in zip(qubits, omegas)]
+
+
+def evolve_pt(p: QubitParams, b: BathParams, times,
+              rho0_diag: DensityMatrix | None = None,
+              tol: float = DEFAULT_TOL) -> Trajectory:
+    """PT trajectory: the diagonal-frame state dephases in closed form and
+    is mapped back through T^-1, renormalized to unit trace at each time."""
+    if p.symmetry is not Symmetry.PT:
+        raise ValueError("evolve_pt requires PT-class parameters")
+    return evolve([p], b, times, rho0_diag, tol)[0]
+
+
+def evolve_apt(p: QubitParams, b: BathParams, times,
+               rho0: DensityMatrix | None = None,
+               tol: float = DEFAULT_TOL) -> Trajectory:
+    """Anti-PT trajectory: populations frozen, coherence damped by D(t)
+    with phase 2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
+    if p.symmetry is not Symmetry.ANTI_PT:
+        raise ValueError("evolve_apt requires Anti-PT-class parameters")
+    return evolve([p], b, times, rho0, tol)[0]

@@ -4,6 +4,10 @@ Every preset uses the caption bath (J0 = 1, beta = 0.5, omega_c = 1,
 mu = -0.5) and emits a single CSV with one column per plotted curve.
 Reproduction is qualitative (curve shapes, orderings, constants): the
 published figures do not state the exact spectral-density form.
+
+A preset sweeps the qubit at that one bath, so each build evolves its
+parameter sets in a single dynamics.evolve call: gamma(t) is evaluated once
+per build, and every column is taken from the same trajectories.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from . import __version__, bath, entropy, qsl
 from .bath import BACKEND, BathParams, DEFAULT_TOL
-from .dynamics import QubitParams, Symmetry, evolve_apt, evolve_pt
+from .dynamics import QubitParams, Symmetry, evolve
 from .scenario import check_tol, write_csv
 
 CAPTION_BATH = BathParams(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)
@@ -57,27 +61,28 @@ class Preset:
 
 def _sweep(symmetry: Symmetry, *quantities: str):
     """Preset builder: a column per quantity and parameter set of the
-    class's sweep, grouped by quantity."""
+    class's sweep, grouped by quantity.  The sweep is evolved at most once,
+    and every trajectory quantity's column comes from those trajectories."""
     def build(tol: float):
         ts = grid()
         if symmetry is Symmetry.PT:
             cases = [(caption_pt(theta), f"theta_{theta:g}")
                      for theta in PT_THETAS]
-            evolve = evolve_pt
         else:
             cases = [(caption_apt(xi, delta), f"xi_{xi:g}_delta_{delta:g}")
                      for xi, delta in APT_PAIRS]
-            evolve = evolve_apt
+        qubits = [p for p, _ in cases]
+        trajs = None
         header, cols = ["t"], [ts]
         max_err = 0.0
         for quantity in quantities:
-            for p, label in cases:
-                if quantity == "phase_function":
-                    col, err = _phase_function(p, ts, tol)
-                else:
-                    traj = evolve(p, CAPTION_BATH, ts, tol=tol)
-                    col = _trajectory_column(traj, quantity)
-                    err = traj.max_quad_error
+            if quantity == "phase_function":
+                results = [_phase_function(p, ts, tol) for p in qubits]
+            else:
+                trajs = trajs or evolve(qubits, CAPTION_BATH, ts, tol=tol)
+                results = [(_trajectory_column(traj, quantity),
+                            traj.max_quad_error) for traj in trajs]
+            for (col, err), (_, label) in zip(results, cases):
                 max_err = max(max_err, err)
                 header.append(f"{quantity}_{label}")
                 cols.append(col)
@@ -115,8 +120,8 @@ def _trajectory_column(traj, quantity: str) -> np.ndarray:
 
 def _entropy0_both(tol: float):
     ts = grid()
-    traj_pt = evolve_pt(caption_pt(), CAPTION_BATH, ts, tol=tol)
-    traj_apt = evolve_apt(caption_apt(), CAPTION_BATH, ts, tol=tol)
+    traj_pt, traj_apt = evolve([caption_pt(), caption_apt()], CAPTION_BATH,
+                               ts, tol=tol)
     cols = [ts, _trajectory_column(traj_pt, "S0"),
             _trajectory_column(traj_apt, "S0")]
     max_err = max(traj_pt.max_quad_error, traj_apt.max_quad_error)

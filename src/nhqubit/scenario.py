@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, entropy, qsl
 from .bath import BACKEND, BathParams, DEFAULT_TOL
-from .dynamics import QubitParams, Symmetry, Trajectory, evolve_apt, evolve_pt
+from .dynamics import QubitParams, Symmetry, Trajectory, evolve
 from .errors import ConfigError, DomainError, GridMismatch, NonPhysicalState
 from .linalg2 import DensityMatrix
 
@@ -78,11 +78,8 @@ class Scenario:
         return np.linspace(0.0, self.t_max, self.n_points)
 
     def evolve(self) -> Trajectory:
-        if self.qubit.symmetry is Symmetry.PT:
-            return evolve_pt(self.qubit, self.bath, self.times,
-                             rho0_diag=self.initial, tol=self.tol)
-        return evolve_apt(self.qubit, self.bath, self.times,
-                          rho0=self.initial, tol=self.tol)
+        return evolve([self.qubit], self.bath, self.times, self.initial,
+                      self.tol)[0]
 
     def describe(self) -> dict:
         return {
@@ -223,17 +220,14 @@ def load_scenario(path) -> Scenario:
     return scenario_from_pairs(_parse_pairs(text))
 
 
-def _cell(x) -> str:
-    return repr(float(x))
-
-
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Columns written with shortest round-trip decimals; byte-deterministic."""
-    rows = len(columns[0])
+    """Columns written with shortest round-trip decimals; byte-deterministic.
+    Columns of different lengths raise ValueError."""
+    cells = [map(repr, np.asarray(col, dtype=float).tolist())
+             for col in columns]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_cell(col[i]) for col in columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def run(scenario: Scenario, outdir, preset_name: str | None = None) -> dict:

@@ -42,3 +42,19 @@ def random_state(rng):
     m = a @ a.conj().T + 1e-12 * np.eye(2)
     m /= np.trace(m).real
     return DensityMatrix.from_matrix(m)
+
+
+def count_calls(monkeypatch, module, *names) -> dict[str, int]:
+    """Wrap module.<name> for each name so that calls are counted; returns
+    the live counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls

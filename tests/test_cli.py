@@ -140,6 +140,26 @@ class TestRun:
         assert blobs[0] == blobs[1]
 
 
+class TestWriteCsv:
+    VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 0.1,
+              5e-324]
+
+    def test_golden_bytes(self, tmp_path):
+        ints = np.arange(len(self.VALUES))
+        floats = np.array(self.VALUES)
+        listed = list(reversed(self.VALUES))
+        path = tmp_path / "g.csv"
+        scenario.write_csv(path, ["i", "x", "y"], [ints, floats, listed])
+        lines = ["i,x,y"] + [",".join(repr(float(v)) for v in row)
+                             for row in zip(ints, floats, listed)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_short_column_raises(self, tmp_path):
+        with pytest.raises(ValueError):
+            scenario.write_csv(tmp_path / "s.csv", ["a", "b"],
+                               [np.zeros(3), np.zeros(2)])
+
+
 class TestCompare:
     def test_apt_upper_bounds_pt(self, pt_config, apt_config, tmp_path):
         report = scenario.compare(load_scenario(pt_config),
@@ -238,6 +258,26 @@ class TestExitCodes:
         code = cli.main(["run", *target, "--out", str(tmp_path / "o"),
                          "--tol", tol])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("edits", [
+        pytest.param([("= PT", "= AntiPT"),
+                      ("initial.state = plus",
+                       "initial.sz = 1\ninitial.coherence_re = 0"),
+                      ("outputs = decoherence, entropy, qsl", "outputs = qsl")],
+                     id="degenerate-trajectory-apt"),
+        pytest.param([("initial.state = plus",
+                       "initial.sz = 1\ninitial.coherence_re = 0")],
+                     id="degenerate-trajectory-pt"),
+    ])
+    def test_domain_error_from_config(self, tmp_path, capsys, edits):
+        """A domain error a config reaches exits 2, not with a traceback."""
+        text = PT_CONFIG
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = tmp_path / "domain.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_io_failure(self, pt_config, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CAPTION_APT, CAPTION_PT
+from conftest import CAPTION_APT, CAPTION_PT, count_calls
 from nhqubit import bath
 from nhqubit.dynamics import (
     QubitParams,
@@ -12,6 +12,7 @@ from nhqubit.dynamics import (
     build_hamiltonian,
     check_symmetry,
     decoherence_function,
+    evolve,
     evolve_apt,
     evolve_pt,
     split,
@@ -180,6 +181,35 @@ class TestEvolveAPT:
     def test_wrong_class_rejected(self, caption_bath):
         with pytest.raises(ValueError):
             evolve_apt(CAPTION_PT, caption_bath, [0.0, 1.0])
+
+
+class TestEvolveSweep:
+    FIELDS = ("p1", "p2", "c", "decoherence", "phase", "lnorm_analytic")
+
+    def test_matches_single_calls_bitwise(self, caption_bath, monkeypatch):
+        pt2 = QubitParams(alpha=1.0, theta=0.4, xi=0.81, delta=0.56,
+                          symmetry=Symmetry.PT)
+        ts = np.linspace(0.0, 20.0, 201)
+        singles = [evolve_pt(CAPTION_PT, caption_bath, ts),
+                   evolve_apt(CAPTION_APT, caption_bath, ts),
+                   evolve_pt(pt2, caption_bath, ts)]
+        calls = count_calls(monkeypatch, bath, "gamma", "gamma_rate")
+        sweep = evolve([CAPTION_PT, CAPTION_APT, pt2], caption_bath, ts)
+        assert calls == {"gamma": 1, "gamma_rate": 1}
+        for one, many in zip(singles, sweep, strict=True):
+            assert many.symmetry is one.symmetry
+            assert many.max_quad_error == one.max_quad_error
+            for field in self.FIELDS:
+                a, b = getattr(one, field), getattr(many, field)
+                assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_errors_in_order(self, caption_bath):
+        exceptional = QubitParams(alpha=1.0, theta=5.0, xi=3.0, delta=4.0,
+                                  symmetry=Symmetry.PT)
+        with pytest.raises(BrokenPhase):
+            evolve([CAPTION_APT, exceptional], caption_bath, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            evolve([CAPTION_APT, CAPTION_PT], caption_bath, [1.0, 2.0])
 
 
 class TestDecoherenceFunction:

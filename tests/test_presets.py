@@ -1,0 +1,58 @@
+"""Figure presets: the bath is evaluated once per build, each parameter set
+is evolved once, and the written CSVs stay on the committed snapshot."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import count_calls
+from nhqubit import bath, dynamics
+from nhqubit.presets import APT_PAIRS, PRESETS, PT_THETAS, run_preset
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "nhbench" / "reference"
+# The benchmark's snapshot rule (nhbench/checks.py).
+SNAPSHOT_ATOL = 1e-9
+SNAPSHOT_RTOL = 1e-7
+
+
+def _assemblies(name: str) -> dict[str, int]:
+    """Trajectories each preset builds: one per parameter set, none for the
+    phase kernels."""
+    if name.endswith("_phase"):
+        return {"_pt_trajectory": 0, "_apt_trajectory": 0}
+    if name == "fig_apt_vs_pt_entropy0":
+        return {"_pt_trajectory": 1, "_apt_trajectory": 1}
+    if name.startswith("fig_pt_"):
+        return {"_pt_trajectory": len(PT_THETAS), "_apt_trajectory": 0}
+    return {"_pt_trajectory": 0, "_apt_trajectory": len(APT_PAIRS)}
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_build_evaluates_the_bath_once(name, tmp_path, monkeypatch):
+    kernels = count_calls(monkeypatch, bath, "gamma", "gamma_rate")
+    evolves = count_calls(monkeypatch, dynamics, "evolve_pt", "evolve_apt",
+                          "_pt_trajectory", "_apt_trajectory")
+    run_preset(name, tmp_path)
+    assert kernels["gamma"] <= 1 and kernels["gamma_rate"] <= 1
+    assert evolves == {"evolve_pt": 0, "evolve_apt": 0, **_assemblies(name)}
+
+
+def _read(path: Path) -> tuple[list[str], np.ndarray]:
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_csv_matches_snapshot(name, tmp_path):
+    run_preset(name, tmp_path)
+    header, data = _read(tmp_path / f"{name}.csv")
+    ref_header, ref = _read(REFERENCE_DIR / f"{name}.csv")
+    assert header == ref_header
+    assert data.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(data), nan)
+    dev = np.abs(data[~nan] - ref[~nan])
+    bound = SNAPSHOT_ATOL + SNAPSHOT_RTOL * np.abs(ref[~nan])
+    assert np.all(dev <= bound), f"worst {np.max(dev / bound):.3g} of bound"
