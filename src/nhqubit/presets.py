@@ -1,29 +1,26 @@
 """Figure-reproduction presets: the published parameter sets, one per figure.
 
-Every preset uses the caption bath (J0 = 1, beta = 0.5, omega_c = 1,
-mu = -0.5) and emits a single CSV with one column per plotted curve.
-Reproduction is qualitative (curve shapes, orderings, constants): the
-published figures do not state the exact spectral-density form.
-
-A preset sweeps the qubit at that one bath, so each build evolves its
-parameter sets in a single dynamics.evolve call: gamma(t) is evaluated once
-per build, and every column is taken from the same trajectories.
+A preset is data: labelled qubit cases times plotted quantities, all in
+the caption bath (J0 = 1, beta = 0.5, omega_c = 1, mu = -0.5) on
+linspace(0, 20, 201).  Its one CSV holds a column per quantity and case,
+grouped by quantity, and scenario.emit writes it with its manifest, as
+for a scenario run.  A build evolves its cases in one dynamics.evolve
+call, so gamma(t) is evaluated once per build.  Reproduction is
+qualitative (curve shapes, orderings, constants): the published figures
+do not state the exact spectral-density form.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from . import __version__, bath, entropy, qsl
-from .bath import BACKEND, BathParams, DEFAULT_TOL
+from . import bath, entropy, qsl
+from .bath import BathParams, DEFAULT_TOL
 from .dynamics import QubitParams, Symmetry, evolve
-from .scenario import check_tol, write_csv
+from .scenario import check_tol, emit
 
 CAPTION_BATH = BathParams(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)
 
@@ -47,8 +44,22 @@ def caption_apt(xi: float = 0.81, delta: float = 0.56) -> QubitParams:
     return QubitParams(symmetry=Symmetry.ANTI_PT, xi=xi, delta=delta, **APT_BASE)
 
 
-def grid() -> np.ndarray:
-    return np.linspace(0.0, T_MAX, N_POINTS)
+# (label, qubit) cases: each class's sweep, and one qubit of each class.
+PT_CASES = tuple((f"theta_{theta:g}", caption_pt(theta)) for theta in PT_THETAS)
+APT_CASES = tuple((f"xi_{xi:g}_delta_{delta:g}", caption_apt(xi, delta))
+                  for xi, delta in APT_PAIRS)
+BOTH_CASES = (("pt", caption_pt()), ("apt", caption_apt()))
+
+_BATH_TEXT = "J0=1, beta=0.5, omega_c=1, mu=-0.5"
+_PT_PARAMETERS = {"bath": _BATH_TEXT,
+                  "qubit": "alpha=1, xi=0.81, delta=0.56, "
+                           f"theta in {list(PT_THETAS)}"}
+_APT_PARAMETERS = {"bath": _BATH_TEXT,
+                   "qubit": "alpha=1, theta=0.86, "
+                            f"(xi, delta) in {list(APT_PAIRS)}"}
+_BOTH_PARAMETERS = {"bath": _BATH_TEXT,
+                    "pt": "alpha=1, xi=0.81, delta=0.56, theta=0.86",
+                    "apt": "alpha=1, theta=0.86, xi=0.81, delta=0.56"}
 
 
 @dataclass(frozen=True)
@@ -56,38 +67,29 @@ class Preset:
     name: str
     description: str
     parameters: dict
-    build: Callable[[float], tuple[list[str], list[np.ndarray], float]]
+    cases: tuple[tuple[str, QubitParams], ...]
+    quantities: tuple[str, ...]
 
-
-def _sweep(symmetry: Symmetry, *quantities: str):
-    """Preset builder: a column per quantity and parameter set of the
-    class's sweep, grouped by quantity.  The sweep is evolved at most once,
-    and every trajectory quantity's column comes from those trajectories."""
-    def build(tol: float):
-        ts = grid()
-        if symmetry is Symmetry.PT:
-            cases = [(caption_pt(theta), f"theta_{theta:g}")
-                     for theta in PT_THETAS]
-        else:
-            cases = [(caption_apt(xi, delta), f"xi_{xi:g}_delta_{delta:g}")
-                     for xi, delta in APT_PAIRS]
-        qubits = [p for p, _ in cases]
+    def build(self, tol: float) -> tuple[list[str], list[np.ndarray], float]:
+        """(header, columns, max_err): t, then a column per quantity and
+        case, grouped by quantity.  The cases are evolved at most once."""
+        ts = np.linspace(0.0, T_MAX, N_POINTS)
+        qubits = [p for _, p in self.cases]
         trajs = None
         header, cols = ["t"], [ts]
         max_err = 0.0
-        for quantity in quantities:
+        for quantity in self.quantities:
             if quantity == "phase_function":
                 results = [_phase_function(p, ts, tol) for p in qubits]
             else:
                 trajs = trajs or evolve(qubits, CAPTION_BATH, ts, tol=tol)
                 results = [(_trajectory_column(traj, quantity),
                             traj.max_quad_error) for traj in trajs]
-            for (col, err), (_, label) in zip(results, cases):
+            for (col, err), (label, _) in zip(results, self.cases):
                 max_err = max(max_err, err)
                 header.append(f"{quantity}_{label}")
                 cols.append(col)
         return header, cols, max_err
-    return build
 
 
 def _phase_function(p: QubitParams, ts: np.ndarray, tol: float):
@@ -118,71 +120,48 @@ def _trajectory_column(traj, quantity: str) -> np.ndarray:
     raise ValueError(f"unknown preset quantity {quantity!r}")
 
 
-def _entropy0_both(tol: float):
-    ts = grid()
-    traj_pt, traj_apt = evolve([caption_pt(), caption_apt()], CAPTION_BATH,
-                               ts, tol=tol)
-    cols = [ts, _trajectory_column(traj_pt, "S0"),
-            _trajectory_column(traj_apt, "S0")]
-    max_err = max(traj_pt.max_quad_error, traj_apt.max_quad_error)
-    return ["t", "S0_pt", "S0_apt"], cols, max_err
-
-
-def _make_presets() -> list[Preset]:
-    pt_params = {"bath": "J0=1, beta=0.5, omega_c=1, mu=-0.5",
-                 "qubit": "alpha=1, xi=0.81, delta=0.56, "
-                          f"theta in {list(PT_THETAS)}"}
-    apt_params = {"bath": "J0=1, beta=0.5, omega_c=1, mu=-0.5",
-                  "qubit": "alpha=1, theta=0.86, "
-                           f"(xi, delta) in {list(APT_PAIRS)}"}
-    both_params = {"bath": "J0=1, beta=0.5, omega_c=1, mu=-0.5",
-                   "pt": "alpha=1, xi=0.81, delta=0.56, theta=0.86",
-                   "apt": "alpha=1, theta=0.86, xi=0.81, delta=0.56"}
-    return [
-        Preset("fig_pt_phase",
-               "PT phase evolution function (negated ramp kernel) vs theta",
-               pt_params, _sweep(Symmetry.PT, "phase_function")),
-        Preset("fig_pt_decoherence",
-               "PT decoherence function D(t) vs theta",
-               pt_params, _sweep(Symmetry.PT, "D")),
-        Preset("fig_apt_phase",
-               "Anti-PT phase evolution function, identical across "
-               "(xi, delta) pairs",
-               apt_params, _sweep(Symmetry.ANTI_PT, "phase_function")),
-        Preset("fig_apt_decoherence",
-               "Anti-PT decoherence function D(t) vs (xi, delta)",
-               apt_params, _sweep(Symmetry.ANTI_PT, "D")),
-        Preset("fig_apt_vs_pt_entropy0",
-               "Zero-order Renyi entropy for both classes (constant log 2)",
-               both_params, _entropy0_both),
-        Preset("fig_pt_qsl",
-               "PT speed-limit velocity V_QSL(t) vs theta",
-               pt_params, _sweep(Symmetry.PT, "v_qsl")),
-        Preset("fig_apt_qsl",
-               "Anti-PT speed-limit velocity V_QSL(t) vs (xi, delta)",
-               apt_params, _sweep(Symmetry.ANTI_PT, "v_qsl")),
-        Preset("fig_pt_entropy1",
-               "PT first-order Renyi vs closed-form Von Neumann entropy",
-               pt_params, _sweep(Symmetry.PT, "S1", "S1_closed")),
-        Preset("fig_apt_entropy1",
-               "Anti-PT first-order Renyi vs closed-form Von Neumann entropy",
-               apt_params, _sweep(Symmetry.ANTI_PT, "S1", "S1_closed")),
-        Preset("fig_pt_entropy2",
-               "PT second-order (collision) Renyi entropy vs theta",
-               pt_params, _sweep(Symmetry.PT, "S2")),
-        Preset("fig_apt_entropy2",
-               "Anti-PT second-order (collision) Renyi entropy vs (xi, delta)",
-               apt_params, _sweep(Symmetry.ANTI_PT, "S2")),
-        Preset("fig_pt_entropy_inf",
-               "PT min-entropy vs theta",
-               pt_params, _sweep(Symmetry.PT, "Sinf")),
-        Preset("fig_apt_entropy_inf",
-               "Anti-PT min-entropy vs (xi, delta)",
-               apt_params, _sweep(Symmetry.ANTI_PT, "Sinf")),
-    ]
-
-
-PRESETS: dict[str, Preset] = {p.name: p for p in _make_presets()}
+PRESETS: dict[str, Preset] = {p.name: p for p in (
+    Preset("fig_pt_phase",
+           "PT phase evolution function (negated ramp kernel) vs theta",
+           _PT_PARAMETERS, PT_CASES, ("phase_function",)),
+    Preset("fig_pt_decoherence",
+           "PT decoherence function D(t) vs theta",
+           _PT_PARAMETERS, PT_CASES, ("D",)),
+    Preset("fig_apt_phase",
+           "Anti-PT phase evolution function, identical across "
+           "(xi, delta) pairs",
+           _APT_PARAMETERS, APT_CASES, ("phase_function",)),
+    Preset("fig_apt_decoherence",
+           "Anti-PT decoherence function D(t) vs (xi, delta)",
+           _APT_PARAMETERS, APT_CASES, ("D",)),
+    Preset("fig_apt_vs_pt_entropy0",
+           "Zero-order Renyi entropy for both classes (constant log 2)",
+           _BOTH_PARAMETERS, BOTH_CASES, ("S0",)),
+    Preset("fig_pt_qsl",
+           "PT speed-limit velocity V_QSL(t) vs theta",
+           _PT_PARAMETERS, PT_CASES, ("v_qsl",)),
+    Preset("fig_apt_qsl",
+           "Anti-PT speed-limit velocity V_QSL(t) vs (xi, delta)",
+           _APT_PARAMETERS, APT_CASES, ("v_qsl",)),
+    Preset("fig_pt_entropy1",
+           "PT first-order Renyi vs closed-form Von Neumann entropy",
+           _PT_PARAMETERS, PT_CASES, ("S1", "S1_closed")),
+    Preset("fig_apt_entropy1",
+           "Anti-PT first-order Renyi vs closed-form Von Neumann entropy",
+           _APT_PARAMETERS, APT_CASES, ("S1", "S1_closed")),
+    Preset("fig_pt_entropy2",
+           "PT second-order (collision) Renyi entropy vs theta",
+           _PT_PARAMETERS, PT_CASES, ("S2",)),
+    Preset("fig_apt_entropy2",
+           "Anti-PT second-order (collision) Renyi entropy vs (xi, delta)",
+           _APT_PARAMETERS, APT_CASES, ("S2",)),
+    Preset("fig_pt_entropy_inf",
+           "PT min-entropy vs theta",
+           _PT_PARAMETERS, PT_CASES, ("Sinf",)),
+    Preset("fig_apt_entropy_inf",
+           "Anti-PT min-entropy vs (xi, delta)",
+           _APT_PARAMETERS, APT_CASES, ("Sinf",)),
+)}
 
 
 def list_presets() -> list[tuple[str, str]]:
@@ -191,27 +170,12 @@ def list_presets() -> list[tuple[str, str]]:
 
 
 def run_preset(name: str, outdir, tol: float = DEFAULT_TOL) -> dict:
+    """Build the named preset and write <name>.csv and manifest.json into
+    outdir; returns the manifest."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; see list-presets")
     check_tol(tol)
     preset = PRESETS[name]
-    header, cols, max_err = preset.build(tol)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_name = f"{name}.csv"
-    write_csv(outdir / csv_name, header, cols)
-    manifest = {
-        "preset": name,
-        "description": preset.description,
-        "parameters": preset.parameters,
-        "grid": {"t_max": T_MAX, "n_points": N_POINTS},
-        "tol": tol,
-        "version": __version__,
-        "backend": BACKEND,
-        "files": {name: csv_name},
-        "max_quad_error": {name: max_err},
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+    return emit(outdir, {name: preset.build(tol)}, preset=name,
+                description=preset.description, parameters=preset.parameters,
+                grid={"t_max": T_MAX, "n_points": N_POINTS}, tol=tol)

@@ -1,4 +1,5 @@
-"""Scenario configuration: flat key-value files, execution, CSV/JSON output.
+"""Scenario configuration: flat key-value files, execution, and the one
+writer of every CSV and JSON file the package emits.
 
 Config grammar (one assignment per line, '#' starts a comment):
 
@@ -21,8 +22,10 @@ Config grammar (one assignment per line, '#' starts a comment):
     entropy.orders = 0, 1, 2, inf
     tol = 1e-9
 
-Numeric CSV cells use repr(), the shortest round-trip decimal form, so
-identical scenarios produce byte-identical files.
+run and presets.run_preset write through emit (one CSV per table plus
+manifest.json); compare writes compare.json with the same write_json.
+Numeric CSV cells use repr(), the shortest round-trip decimal form, and
+JSON keys are sorted, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, entropy, qsl
+from . import __version__, bath, entropy, qsl
 from .bath import BACKEND, BathParams, DEFAULT_TOL
 from .dynamics import QubitParams, Symmetry, Trajectory, evolve
-from .errors import ConfigError, DomainError, GridMismatch, NonPhysicalState
+from .errors import (ConfigError, DomainError, GridMismatch, NonPhysicalState,
+                     QuadratureDivergence)
 from .linalg2 import DensityMatrix
 
 OUTPUT_KINDS = ("trajectory", "decoherence", "phase", "qsl", "entropy")
@@ -78,6 +82,12 @@ class Scenario:
         return np.linspace(0.0, self.t_max, self.n_points)
 
     def evolve(self) -> Trajectory:
+        # gamma sums at least one series term per time point, so a longer
+        # grid can never meet the term budget: refuse it before allocating.
+        if self.n_points > bath.TERM_BUDGET:
+            raise QuadratureDivergence(
+                f"gamma up to t={self.t_max}: {self.n_points} time points "
+                f"exceed the series-term budget of {bath.TERM_BUDGET}")
         return evolve([self.qubit], self.bath, self.times, self.initial,
                       self.tol)[0]
 
@@ -214,8 +224,8 @@ def scenario_from_pairs(pairs: dict[str, str]) -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return scenario_from_pairs(_parse_pairs(text))
 
@@ -230,55 +240,64 @@ def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
-def run(scenario: Scenario, outdir, preset_name: str | None = None) -> dict:
-    """Execute a scenario, writing one CSV per requested output plus a JSON
-    manifest; returns the manifest dict."""
+def write_json(path: Path, obj) -> None:
+    """obj as JSON with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def emit(outdir, tables: dict, **fields) -> dict:
+    """Write <kind>.csv for each kind -> (header, columns, max_err) in
+    tables, then manifest.json: fields plus version, backend, files and
+    max_quad_error.  Returns the manifest."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    manifest: dict = {
-        "scenario": scenario.describe(),
+    for kind, (header, columns, _) in tables.items():
+        write_csv(outdir / f"{kind}.csv", header, columns)
+    manifest = {
+        **fields,
         "version": __version__,
         "backend": BACKEND,
-        "files": {},
-        "max_quad_error": {},
+        "files": {kind: f"{kind}.csv" for kind in tables},
+        "max_quad_error": {kind: err for kind, (_, _, err) in tables.items()},
     }
-    if preset_name is not None:
-        manifest["preset"] = preset_name
+    write_json(outdir / "manifest.json", manifest)
+    return manifest
 
+
+def run(scenario: Scenario, outdir) -> dict:
+    """Execute a scenario, writing one CSV per requested output plus a JSON
+    manifest; returns the manifest dict."""
+    # An unwritable outdir is reported before any numerical failure.
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    tables: dict = {}
+    fields: dict = {"scenario": scenario.describe()}
     if scenario.outputs:
         traj = scenario.evolve()
-        ts = traj.times
-
-        def emit(kind: str, header: list[str], columns: list) -> None:
-            write_csv(outdir / f"{kind}.csv", header, columns)
-            manifest["files"][kind] = f"{kind}.csv"
-            manifest["max_quad_error"][kind] = traj.max_quad_error
-
+        ts, err = traj.times, traj.max_quad_error
         if "trajectory" in scenario.outputs:
-            emit("trajectory", ["t", "rho11", "re_rho12", "im_rho12", "rho22"],
-                 [ts, traj.p1, traj.c.real, traj.c.imag, traj.p2])
+            tables["trajectory"] = (
+                ["t", "rho11", "re_rho12", "im_rho12", "rho22"],
+                [ts, traj.p1, traj.c.real, traj.c.imag, traj.p2], err)
         if "decoherence" in scenario.outputs:
-            emit("decoherence", ["t", "D"], [ts, traj.decoherence])
+            tables["decoherence"] = (["t", "D"], [ts, traj.decoherence], err)
         if "phase" in scenario.outputs:
-            emit("phase", ["t", "phase"], [ts, traj.phase])
+            tables["phase"] = (["t", "phase"], [ts, traj.phase], err)
         if "qsl" in scenario.outputs:
             series = qsl.qsl_series(traj)
-            emit("qsl", ["t", "bures_angle", "liouvillian_norm", "v_qsl"],
-                 [ts, series.bures_angle, series.liouvillian_norm,
-                  series.v_qsl])
-            manifest["tau_qsl"] = series.tau_qsl
+            tables["qsl"] = (
+                ["t", "bures_angle", "liouvillian_norm", "v_qsl"],
+                [ts, series.bures_angle, series.liouvillian_norm,
+                 series.v_qsl], err)
+            fields["tau_qsl"] = series.tau_qsl
         if "entropy" in scenario.outputs:
             table = entropy.entropy_series(traj, scenario.entropy_orders)
-            emit("entropy",
-                 ["t"] + ["S_inf" if math.isinf(q) else f"S_{q:g}"
-                          for q in table],
-                 [ts, *table.values()])
-
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+            tables["entropy"] = (
+                ["t"] + ["S_inf" if math.isinf(q) else f"S_{q:g}"
+                         for q in table],
+                [ts, *table.values()], err)
+    return emit(outdir, tables, **fields)
 
 
 def compare(a: Scenario, b: Scenario, outdir=None) -> dict:
@@ -304,7 +323,5 @@ def compare(a: Scenario, b: Scenario, outdir=None) -> dict:
         write_csv(outdir / "compare.csv",
                   ["t", "D_a", "D_b", "ratio", "b_ge_a"],
                   [traj_a.times, d_a, d_b, ratio, ordered.astype(float)])
-        with open(outdir / "compare.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(outdir / "compare.json", report)
     return report

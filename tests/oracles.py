@@ -130,19 +130,22 @@ def brute_fidelity(rho, sigma):
 
 
 def brute_opnorm(m, iters=500, seed=7):
-    """Largest singular value by power iteration on m^dagger m."""
+    """Largest singular value by power iteration on m^dagger m.  m is one
+    2x2 matrix (returns a float) or a stack of shape (..., 2, 2) (returns
+    an array); every matrix starts from the same seeded vector."""
     m = np.asarray(m, dtype=complex)
-    a = m.conj().T @ m
+    a = np.swapaxes(m, -1, -2).conj() @ m
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v /= np.linalg.norm(v)
+    v = np.broadcast_to(v / np.linalg.norm(v), m.shape[:-1])
     for _ in range(iters):
-        w = a @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return float(math.sqrt(np.real(np.vdot(v, a @ v))))
+        w = (a @ v[..., None])[..., 0]
+        nw = np.linalg.norm(w, axis=-1, keepdims=True)
+        # A zero iterate stays zero and gives the norm 0.
+        v = w / np.where(nw == 0.0, 1.0, nw)
+    av = (a @ v[..., None])[..., 0]
+    norm = np.sqrt(np.real(np.sum(v.conj() * av, axis=-1)))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 # ---------------------------------------------------------------------------

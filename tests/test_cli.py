@@ -110,6 +110,21 @@ class TestRun:
         assert manifest["tau_qsl"] <= sc.t_max
         assert all(v <= sc.tol for v in manifest["max_quad_error"].values())
 
+    @pytest.mark.parametrize("outputs, extra_keys", [
+        ("trajectory, decoherence, phase, qsl, entropy", {"tau_qsl"}),
+        ("trajectory, decoherence, phase, entropy", set()),
+        ("", set()),
+    ])
+    def test_manifest_keys(self, tmp_path, outputs, extra_keys):
+        text = PT_CONFIG.replace("decoherence, entropy, qsl", outputs)
+        out = tmp_path / "out"
+        manifest = scenario.run(scenario_from_pairs(_parse_pairs(text)), out)
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+        assert set(manifest) == {"scenario", "version", "backend", "files",
+                                 "max_quad_error", *extra_keys}
+        kinds = [k.strip() for k in outputs.split(",") if k.strip()]
+        assert manifest["files"] == {k: f"{k}.csv" for k in kinds}
+
     def test_empty_outputs_manifest_only(self, tmp_path):
         text = PT_CONFIG.replace("outputs = decoherence, entropy, qsl",
                                  "outputs =")
@@ -167,6 +182,9 @@ class TestCompare:
                                   tmp_path / "cmp")
         assert report["fraction_b_ge_a"] == 1.0
         assert (tmp_path / "cmp" / "compare.csv").exists()
+        written = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+        assert written == report
+        assert set(report) == {"fraction_b_ge_a", "scenario_a", "scenario_b"}
 
     def test_grid_mismatch(self, pt_config, apt_config, tmp_path):
         other = scenario.load_scenario(apt_config)
@@ -184,6 +202,18 @@ class TestCliVerbs:
         out = capsys.readouterr().out
         for name in PRESETS:
             assert name in out
+
+    def test_list_presets_order(self, capsys):
+        assert cli.main(["list-presets"]) == 0
+        names = [line.split()[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert names == [
+            "fig_pt_phase", "fig_pt_decoherence", "fig_apt_phase",
+            "fig_apt_decoherence", "fig_apt_vs_pt_entropy0", "fig_pt_qsl",
+            "fig_apt_qsl", "fig_pt_entropy1", "fig_apt_entropy1",
+            "fig_pt_entropy2", "fig_apt_entropy2", "fig_pt_entropy_inf",
+            "fig_apt_entropy_inf",
+        ]
 
     def test_run_config(self, pt_config, tmp_path, capsys):
         assert cli.main(["run", str(pt_config),
@@ -279,6 +309,30 @@ class TestExitCodes:
         cfg.write_text(text)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\xff\xfe" + PT_CONFIG.encode())
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("verb, outputs, code", [
+        ("run", "decoherence", 4),
+        ("compare", "decoherence", 4),
+        ("run", "", 0),
+    ])
+    def test_grid_over_term_budget(self, tmp_path, capsys, verb, outputs,
+                                   code):
+        """A grid longer than the term budget fails before it is built; a
+        run without outputs builds none and succeeds."""
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(PT_CONFIG.replace("grid.n_points = 26",
+                                         "grid.n_points = 1e15")
+                       .replace("decoherence, entropy, qsl", outputs))
+        configs = [str(cfg)] * (2 if verb == "compare" else 1)
+        assert cli.main([verb, *configs, "--out", str(tmp_path / "o")]) == code
+        if code:
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_io_failure(self, pt_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -1,6 +1,7 @@
 """Figure presets: the bath is evaluated once per build, each parameter set
 is evolved once, and the written CSVs stay on the committed snapshot."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -56,3 +57,18 @@ def test_csv_matches_snapshot(name, tmp_path):
     dev = np.abs(data[~nan] - ref[~nan])
     bound = SNAPSHOT_ATOL + SNAPSHOT_RTOL * np.abs(ref[~nan])
     assert np.all(dev <= bound), f"worst {np.max(dev / bound):.3g} of bound"
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_manifest_keys_and_header(name, tmp_path):
+    """A preset's CSV has a column per quantity and case, grouped by
+    quantity, and its manifest has exactly the documented keys."""
+    preset = PRESETS[name]
+    manifest = run_preset(name, tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
+    assert set(manifest) == {"preset", "description", "parameters", "grid",
+                             "tol", "version", "backend", "files",
+                             "max_quad_error"}
+    header, _ = _read(tmp_path / f"{name}.csv")
+    assert header == ["t"] + [f"{q}_{label}" for q in preset.quantities
+                              for label, _ in preset.cases]
