@@ -34,6 +34,11 @@ term-by-term derivative.  The removable pole of Gamma(mu) at mu = 0 is
 avoided by writing Gamma(mu)(a^-mu - z^-mu) as
 -Gamma(mu+1) a^-mu expm1(-mu log(z/a))/mu in real arithmetic.
 
+Only numpy is imported.  exprel(x) = expm1(x)/x is numpy's expm1 divided
+out, exactly 1 at x = 0; the Hurwitz zeta is a scalar port of the Cephes
+zeta(x, q) that scipy.special uses (direct sum, then Euler-Maclaurin,
+DLMF 25.11), bitwise equal to it on the arguments reached here.
+
 Every kernel takes a float or a 1-D array of times and returns a
 QuadratureResult whose abs_error is the series-truncation bound plus a
 floating-point rounding bound built from the magnitudes of the terms.
@@ -47,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exprel, zeta
 
 from .errors import DomainError, QuadratureDivergence
 
@@ -68,6 +72,57 @@ _SUM_EPS = float(np.finfo(_SUM_DTYPE).eps)
 # numbers: an argument y with relative error d moves exp(y) by |y| d
 # relatively and cos y, sin y by |y| d absolutely.
 _TERM_ULPS = 16.0
+
+# Bernoulli-number coefficients (2k)!/B_2k of the Euler-Maclaurin
+# remainder in Cephes zeta.c, and its stopping threshold.
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+    -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+    1.1646782814350067249e14, -4.5979787224074726105e15,
+    1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _exprel(x):
+    """(exp(x) - 1)/x over an array, exactly 1 at x = 0."""
+    return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
+
+
+def _zeta(x: float, q: float) -> float:
+    """Hurwitz zeta(x, q) for x > 1 and q > 0: a line-for-line port of
+    Cephes zeta.c.  Division by zero raises where q^-x underflows, so
+    callers keep q^-x normal."""
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * math.pow(q, 1.0 - x)
+    s = math.pow(q, -x)
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = math.pow(a, -x)
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s = s + t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 @dataclass(frozen=True)
@@ -116,9 +171,25 @@ def spectral_density(omega: float, p: BathParams) -> float:
     return p.j0 * p.omega_c * x ** (1.0 + p.mu) * math.exp(-x)
 
 
+def _prefactor(name: str, p: BathParams, factor: float, power: float,
+               shift: float) -> float:
+    """factor j0 omega_c^power Gamma(mu + shift), or QuadratureDivergence
+    where it leaves the floating-point range."""
+    try:
+        value = factor * p.j0 * p.omega_c**power * math.gamma(p.mu + shift)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise QuadratureDivergence(
+            f"{name}: the prefactor {factor:g} j0 omega_c^{power:.4g} "
+            f"Gamma({p.mu + shift:.4g}) leaves the floating-point range "
+            f"(j0 = {p.j0:.4g}, omega_c = {p.omega_c:.4g})")
+    return value
+
+
 def moment0(p: BathParams) -> float:
     """int_0^inf J(w) dw = j0 * omega_c^2 * Gamma(2 + mu), in closed form."""
-    return p.j0 * p.omega_c**2 * math.gamma(2.0 + p.mu)
+    return _prefactor("moment0", p, 1.0, 2.0, 2.0)
 
 
 def _times(t) -> np.ndarray:
@@ -143,7 +214,7 @@ def _bounded_term(x, mu):
     magnitude: the (1 - cos wt) kernels at a = 1, t = x."""
     rho, phi = _log_and_angle(x)
     e, y = mu * rho, mu * phi
-    u = rho * exprel(-e)
+    u = rho * _exprel(-e)
     v = 0.5 * mu * (phi * np.sinc(y / (2.0 * np.pi))) ** 2
     mag = (u * (1.0 + np.abs(e)) + 0.5 * abs(mu) * phi * phi) \
         * (1.0 + np.abs(y))
@@ -176,11 +247,10 @@ def _bound(value, magnitude, n_terms):
             + 0.5 * _EPS * np.abs(value))
 
 
-def _single(term, power: float, ts, p: BathParams):
+def _single(name: str, term, power: float, ts, p: BathParams):
     """c Gamma(mu+1) a^power term(t/a): one Gamma-function integral."""
     a = 1.0 / p.omega_c
-    scale = 4.0 * p.j0 * p.omega_c ** (-p.mu) * math.gamma(p.mu + 1.0) \
-        * a**power
+    scale = _prefactor(name, p, 4.0, -p.mu, 1.0) * a**power
     value, mag = term(ts / a, p.mu)
     value = scale * value
     # a carries one rounding, which a^power amplifies by |power|.
@@ -195,6 +265,7 @@ def _over_budget(name: str, t_max: float, terms: float):
 
 def _thermal(name: str, ts, p: BathParams, rate: bool):
     """gamma(t) (rate=False) or d gamma/dt (rate=True) on the times ts."""
+    scale = _prefactor(name, p, 4.0, -p.mu, 1.0)
     mu, a, beta = p.mu, 1.0 / p.omega_c, p.beta
     t_max = float(ts.max()) if ts.size else 0.0
     # Each tail term is at most sup_coef (t/a_K)^2 times the one before it.
@@ -217,7 +288,9 @@ def _thermal(name: str, ts, p: BathParams, rate: bool):
     n_terms = n_direct + n_tail
     if n_terms * ts.size > TERM_BUDGET:
         raise _over_budget(name, t_max, n_terms * ts.size)
-    # q^(mu+2m-1) must stay finite and zeta(mu+2m, q) ~ q^(1-mu-2m) normal.
+    # q^(mu+2m-1) must stay finite and zeta(mu+2m, q) ~ q^(1-mu-2m) normal;
+    # _zeta divides by q^-(mu+2m) and raises if it underflows, so this check
+    # stays ahead of the tail.
     if (mu + 2 * n_tail - 1.0) * math.log(q) > 690.0:
         raise QuadratureDivergence(
             f"{name} up to t={t_max}: the zeta tail at a/beta + K = {q:.4g} "
@@ -247,7 +320,7 @@ def _thermal(name: str, ts, p: BathParams, rate: bool):
     tail_scale = 2.0 * a_tail**-mu * q / (a_tail if rate else 1.0)
     for m in range(1, n_tail + 1):
         s = mu + 2 * m
-        last = (tail_scale * g * q ** (s - 1.0) * zeta(s, q)
+        last = (tail_scale * g * q ** (s - 1.0) * _zeta(s, q)
                 * (2 * m if rate else 1)) * xp
         total += last if m % 2 else -last
         mag += np.abs(last)
@@ -256,7 +329,6 @@ def _thermal(name: str, ts, p: BathParams, rate: bool):
     ratio = sup_coef * x2
     trunc = np.abs(last) * ratio / (1.0 - ratio)
 
-    scale = 4.0 * p.j0 * p.omega_c ** (-mu) * math.gamma(mu + 1.0)
     value = scale * total.astype(float)
     # a_k carries two roundings, which a_k^power amplifies by |power|.
     err = scale * trunc + _bound(
@@ -301,7 +373,8 @@ def _per_theta(name: str, term, power: float, t, theta: float,
     # The kernels are exactly linear in theta: evaluate per unit theta and
     # scale, so a theta sweep sees identical per-unit values.
     ts = _times(t)
-    return _result(name, t, ts, *_single(term, power, ts, p), tol, theta)
+    return _result(name, t, ts, *_single(name, term, power, ts, p), tol,
+                   theta)
 
 
 def omega_pt(t, theta: float, p: BathParams,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .bath import DEFAULT_TOL
@@ -36,7 +37,9 @@ EXIT_QUADRATURE = 4
 EXIT_IO = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: building costs ten times what parsing does.
     parser = argparse.ArgumentParser(
         prog="nhqubit",
         description="Dephasing dynamics of PT- and Anti-PT-symmetric qubits",

@@ -142,6 +142,52 @@ class TestOmega2:
         )
 
 
+class TestSpecialFunctions:
+    """The in-package exprel and Hurwitz zeta against scipy.special."""
+
+    def test_zeta_matches_scipy_bitwise(self):
+        from scipy.special import zeta
+        rng = np.random.default_rng(11)
+        n = 400
+        # (s, q) ranges reaching the direct-sum exit (large s, small q), the
+        # Euler-Maclaurin part (s near 1) and the q > 1e8 asymptote.
+        samples = [
+            (rng.uniform(20.0, 60.0, n), rng.uniform(0.05, 3.0, n)),
+            (rng.uniform(1.2, 4.0, n), 10 ** rng.uniform(-1.3, 7.0, n)),
+            (rng.uniform(1.2, 30.0, n), 10 ** rng.uniform(8.0, 12.0, n)),
+            (rng.uniform(1.2, 60.0, n), 10 ** rng.uniform(-1.3, 12.0, n)),
+        ]
+        for s, q in samples:
+            # q^-s stays normal, as _thermal's range check ensures.
+            keep = (s - 1.0) * np.log(q) < 690.0
+            got = [bath._zeta(float(x), float(y))
+                   for x, y in zip(s[keep], q[keep])]
+            assert keep.sum() > n // 2
+            assert got == zeta(s[keep], q[keep]).tolist()
+
+    def test_exprel(self):
+        assert bath._exprel(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
+        rng = np.random.default_rng(12)
+        x = np.concatenate([rng.uniform(-700.0, 700.0, 2000),
+                            rng.uniform(-1e-3, 1e-3, 2000),
+                            [1e-300, -1e-300, 5e-324]])
+        ref = np.array([math.expm1(v) / v for v in x])
+        assert np.all(np.abs(bath._exprel(x) - ref) <= 2 * np.spacing(ref))
+
+    @pytest.mark.parametrize("kernel", [
+        lambda p: bath.gamma(1.0, p),
+        lambda p: bath.gamma_rate(1.0, p),
+        lambda p: bath.omega_pt(1.0, 0.86, p),
+        lambda p: bath.omega1(1.0, 0.86, p),
+        lambda p: bath.omega1_rate(1.0, 0.86, p),
+        lambda p: bath.omega2(1.0, 0.86, p),
+    ], ids=["gamma", "gamma_rate", "omega_pt", "omega1", "omega1_rate",
+            "omega2"])
+    def test_prefactor_overflow_raises(self, kernel):
+        with pytest.raises(QuadratureDivergence):
+            kernel(BathParams(j0=1.0, omega_c=1.0, mu=172.0, beta=1000.0))
+
+
 class TestParams:
     @pytest.mark.parametrize("kw", [
         dict(j0=0.0), dict(j0=-1.0), dict(omega_c=0.0),

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,6 +337,26 @@ class TestExitCodes:
         if code:
             assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("edits", [
+        pytest.param([("bath.mu = -0.5", "bath.mu = 172"),
+                      ("bath.beta = 0.5", "bath.beta = 1000")],
+                     id="gamma-overflow"),
+        pytest.param([("bath.omega_c = 1.0", "bath.omega_c = 1e-200"),
+                      ("bath.beta = 0.5", "bath.beta = 1e300"),
+                      ("bath.mu = -0.5", "bath.mu = 2")],
+                     id="omega_c-power-overflow"),
+    ])
+    def test_extreme_bath_prefactor(self, tmp_path, capsys, edits):
+        """A bath whose prefactor 4 j0 omega_c^-mu Gamma(mu+1) overflows
+        exits 4, not with a traceback."""
+        text = PT_CONFIG.replace("decoherence, entropy, qsl", "decoherence")
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_io_failure(self, pt_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -346,3 +369,16 @@ class TestExitCodes:
         other.write_text(PT_CONFIG.replace("grid.n_points = 26",
                                            "grid.n_points = 11"))
         assert cli.main(["compare", str(pt_config), str(other)]) == 2
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI import numpy only: scipy.special alone took
+    about two thirds of every process's start-up."""
+    code = ("import sys, nhqubit, nhqubit.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
