@@ -20,30 +20,25 @@ Maniscalco, PRA 87, 010103(R) (2013)):
     omega_pt / theta      = c [t Gamma(mu+1) a^(-mu-1) - Gamma(mu) Im z^-mu]
     d omega1/dt / theta   = c Gamma(mu+1) Im z^(-mu-1)
 
-and coth(beta w/2) = 1 + 2 sum_k exp(-k beta w) turns gamma into the
-same bracket summed over a_k = a + k beta, weight 2 - delta_k0.  Terms
-with a_k < 2 t_max (a little more for mu > 1, or mu > 0 in the rate)
-are summed directly; the rest is a binomial series in t/a_k whose k-sum
-is a Hurwitz zeta,
+The removable pole of Gamma(mu) at mu = 0 is avoided by writing
+Gamma(mu)(a^-mu - z^-mu) as -Gamma(mu+1) a^-mu expm1(-mu log(z/a))/mu in
+real arithmetic; exprel(x) = expm1(x)/x is exactly 1 at x = 0.
 
-    -2 c sum_m>=1 (-1)^m Gamma(mu+2m)/(2m)! t^2m beta^(-mu-2m)
-         * zeta(mu+2m, a/beta + K),
-
-with consecutive terms shrinking by at least 4.  d gamma/dt is the
-term-by-term derivative.  The removable pole of Gamma(mu) at mu = 0 is
-avoided by writing Gamma(mu)(a^-mu - z^-mu) as
--Gamma(mu+1) a^-mu expm1(-mu log(z/a))/mu in real arithmetic.
-
-Only numpy is imported.  exprel(x) = expm1(x)/x is numpy's expm1 divided
-out, exactly 1 at x = 0; the Hurwitz zeta is a scalar port of the Cephes
-zeta(x, q) that scipy.special uses (direct sum, then Euler-Maclaurin,
-DLMF 25.11), bitwise equal to it on the arguments reached here.
+coth(beta w/2) = 1 + 2 sum_k exp(-k beta w) turns gamma into the same
+bracket summed over a_k = a + k beta with weight 2 - delta_k0; d gamma/dt
+is the term-by-term derivative.  Each summand is f(k) = a_k^p term(t/a_k,
+mu), and f^(n)(k) = (-1)^n (mu+1)_n beta^n a_k^(p-n) term(t/a_k, mu+n).
+Terms k < N = 24 are summed directly and the rest by Euler-Maclaurin
+(DLMF 2.10.1; Johansson, Numer. Algorithms 69, 253 (2015)): f(N)/2, the
+integral from N in closed form without poles at mu = 0 or 1, and 12
+Bernoulli corrections, with the remainder bounded through |z_k| >= a_k.
+Every time thus costs 38 terms, whatever the horizon.
 
 Every kernel takes a float or a 1-D array of times and returns a
 QuadratureResult whose abs_error is the series-truncation bound plus a
 floating-point rounding bound built from the magnitudes of the terms.
-A kernel whose bound exceeds tol, or whose series would need more than
-TERM_BUDGET terms, raises QuadratureDivergence.
+A kernel whose bound exceeds tol, or a grid whose series would need more
+than TERM_BUDGET terms, raises QuadratureDivergence.
 """
 
 from __future__ import annotations
@@ -58,12 +53,11 @@ from .errors import DomainError, QuadratureDivergence
 # The numeric path, as recorded in run manifests.
 BACKEND = "numpy"
 DEFAULT_TOL = 1e-9
-# Series terms (one per time and k or m) a single kernel call may sum.
+# Series terms (38 per time) a single kernel call may sum.
 TERM_BUDGET = 10_000_000
 
-# (k, t) pairs evaluated per block of the direct sum; bounds peak memory.
-_BLOCK = 1 << 16
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(float(np.finfo(float).max))
 # Sums run in extended precision where the platform has it.
 _SUM_DTYPE = np.longdouble
 _SUM_EPS = float(np.finfo(_SUM_DTYPE).eps)
@@ -73,56 +67,24 @@ _SUM_EPS = float(np.finfo(_SUM_DTYPE).eps)
 # relatively and cos y, sin y by |y| d absolutely.
 _TERM_ULPS = 16.0
 
-# Bernoulli-number coefficients (2k)!/B_2k of the Euler-Maclaurin
-# remainder in Cephes zeta.c, and its stopping threshold.
-_ZETA_A = (
+# The thermal k-sum: direct terms k < _N_DIRECT, then Euler-Maclaurin with
+# one correction per coefficient (2j)!/B_2j, j = 1..12.
+_N_DIRECT = 24
+_EM_COEF = (
     12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
     -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
     1.1646782814350067249e14, -4.5979787224074726105e15,
     1.8152105401943546773e17, -7.1661652561756670113e18,
 )
-_MACHEP = 1.11022302462515654042e-16
+# Per time: the direct terms, f(N)/2, the integral and the corrections.
+_TERMS = _N_DIRECT + 2 + len(_EM_COEF)
+# (k, t) pairs evaluated per block of the direct sum; bounds peak memory.
+_BLOCK = 1 << 16
 
 
 def _exprel(x):
     """(exp(x) - 1)/x over an array, exactly 1 at x = 0."""
     return np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0)
-
-
-def _zeta(x: float, q: float) -> float:
-    """Hurwitz zeta(x, q) for x > 1 and q > 0: a line-for-line port of
-    Cephes zeta.c.  Division by zero raises where q^-x underflows, so
-    callers keep q^-x normal."""
-    if q > 1e8:
-        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * math.pow(q, 1.0 - x)
-    s = math.pow(q, -x)
-    a = q
-    i = 0
-    b = 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = math.pow(a, -x)
-        s += b
-        if abs(b / s) < _MACHEP:
-            return s
-    w = a
-    s += b * w / (x - 1.0)
-    s -= 0.5 * b
-    a = 1.0
-    k = 0.0
-    for coef in _ZETA_A:
-        a *= x + k
-        b /= w
-        t = a * b / coef
-        s = s + t
-        if abs(t / s) < _MACHEP:
-            return s
-        k += 1.0
-        a *= x + k
-        b /= w
-        k += 1.0
-    return s
 
 
 @dataclass(frozen=True)
@@ -172,18 +134,26 @@ def spectral_density(omega: float, p: BathParams) -> float:
 
 
 def _prefactor(name: str, p: BathParams, factor: float, power: float,
-               shift: float) -> float:
+               shift: float, *log_factors: float) -> float:
     """factor j0 omega_c^power Gamma(mu + shift), or QuadratureDivergence
-    where it leaves the floating-point range."""
+    where it, a series factor exp(l) for l in log_factors, or their product
+    leaves the floating-point range; checked in logs before any array is
+    built, since the prefactor underflows where a factor overflows."""
     try:
         value = factor * p.j0 * p.omega_c**power * math.gamma(p.mu + shift)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    log_value = (math.log(factor * p.j0) + power * math.log(p.omega_c)
+                 + math.lgamma(p.mu + shift))
+    # A nan (0 times an infinite log) fails too.
+    if not (math.isfinite(value) and all(
+            log_f <= _LOG_MAX and log_value + log_f <= _LOG_MAX
+            for log_f in log_factors)):
         raise QuadratureDivergence(
             f"{name}: the prefactor {factor:g} j0 omega_c^{power:.4g} "
-            f"Gamma({p.mu + shift:.4g}) leaves the floating-point range "
-            f"(j0 = {p.j0:.4g}, omega_c = {p.omega_c:.4g})")
+            f"Gamma({p.mu + shift:.4g}), or its product with a series "
+            f"factor, leaves the floating-point range (j0 = {p.j0:.4g}, "
+            f"omega_c = {p.omega_c:.4g}, beta = {p.beta:.4g})")
     return value
 
 
@@ -216,9 +186,11 @@ def _bounded_term(x, mu):
     e, y = mu * rho, mu * phi
     u = rho * _exprel(-e)
     v = 0.5 * mu * (phi * np.sinc(y / (2.0 * np.pi))) ** 2
-    mag = (u * (1.0 + np.abs(e)) + 0.5 * abs(mu) * phi * phi) \
-        * (1.0 + np.abs(y))
-    return u * np.cos(y) + v, mag
+    c = np.cos(y)
+    # An error d in y moves cos y by |y sin y| d <= min(|y|, y^2) d.
+    mag = (u * ((1.0 + np.abs(e)) * np.abs(c) + np.minimum(np.abs(y), y * y))
+           + 0.5 * abs(mu) * phi * phi)
+    return u * c + v, mag
 
 
 def _rate_term(x, mu):
@@ -227,7 +199,8 @@ def _rate_term(x, mu):
     rho, phi = _log_and_angle(x)
     e, y = (mu + 1.0) * rho, (mu + 1.0) * phi
     r = np.exp(-e)
-    return r * np.sin(y), r * (1.0 + e) * (np.abs(np.sin(y)) + np.abs(y))
+    sin = np.sin(y)
+    return r * sin, r * ((1.0 + e) * np.abs(sin) + np.abs(y))
 
 
 def _ramp_term(x, mu):
@@ -247,93 +220,122 @@ def _bound(value, magnitude, n_terms):
             + 0.5 * _EPS * np.abs(value))
 
 
+def _in_range(kernel):
+    """kernel(name, ...), with QuadratureDivergence where its array
+    arithmetic overflows or turns invalid, as for t/a beyond 1e154."""
+    def checked(name, *args):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return kernel(name, *args)
+        except FloatingPointError as exc:
+            raise QuadratureDivergence(
+                f"{name}: {exc}, outside the floating-point range") from None
+    return checked
+
+
+@_in_range
 def _single(name: str, term, power: float, ts, p: BathParams):
     """c Gamma(mu+1) a^power term(t/a): one Gamma-function integral."""
     a = 1.0 / p.omega_c
-    scale = _prefactor(name, p, 4.0, -p.mu, 1.0) * a**power
+    scale = _prefactor(name, p, 4.0, -p.mu, 1.0,
+                       power * math.log(a)) * a**power
     value, mag = term(ts / a, p.mu)
     value = scale * value
     # a carries one rounding, which a^power amplifies by |power|.
     return value, _bound(value, scale * (1.0 + abs(power)) * mag, 1), ts.size
 
 
-def _over_budget(name: str, t_max: float, terms: float):
-    return QuadratureDivergence(
-        f"{name} up to t={t_max}: {terms:.4g} series terms exceed the "
-        f"budget of {TERM_BUDGET}")
+def check_terms(name: str, t_max: float, n_points: int) -> None:
+    """QuadratureDivergence where gamma on n_points times up to t_max would
+    sum more than TERM_BUDGET series terms, checked before allocating."""
+    terms = _TERMS * n_points
+    if terms > TERM_BUDGET:
+        raise QuadratureDivergence(
+            f"{name} up to t={t_max}: {terms:.4g} series terms exceed the "
+            f"budget of {TERM_BUDGET}")
 
 
+def _integral_term(x, mu, rate: bool):
+    """int_1^inf s^p term(x/s, mu) ds, the Euler-Maclaurin integral at
+    a_N = 1 (p = -mu, or -mu-1 for the rate), and its rounding magnitude.
+    gamma's is (Re (1 - i x)^(1-mu) - 1)/(mu (1-mu)), written without the
+    pole at mu = 0 for mu >= 1/2 and without the one at mu = 1 below."""
+    if not rate and mu >= 0.5:
+        f, m = _bounded_term(x, mu - 1.0)
+        return f / mu, m / mu
+    # Im (1 - i x)^-mu / mu, as in _ramp_term.
+    rho, phi = _log_and_angle(x)
+    e, y = mu * rho, mu * phi
+    s = np.exp(-e) * phi
+    sinc = np.sinc(y / np.pi)
+    im = s * sinc
+    # A relative error d in y moves sinc by |cos y - sinc| d.
+    im_mag = (1.0 + np.abs(e)) * np.abs(im) + s * np.abs(np.cos(y) - sinc)
+    if rate:
+        return im, im_mag
+    f, m = _bounded_term(x, mu)
+    return (x * im - f) / (1.0 - mu), (x * im_mag + m) / (1.0 - mu)
+
+
+@_in_range
 def _thermal(name: str, ts, p: BathParams, rate: bool):
     """gamma(t) (rate=False) or d gamma/dt (rate=True) on the times ts."""
-    scale = _prefactor(name, p, 4.0, -p.mu, 1.0)
+    check_terms(name, float(ts.max()) if ts.size else 0.0, ts.size)
     mu, a, beta = p.mu, 1.0 / p.omega_c, p.beta
-    t_max = float(ts.max()) if ts.size else 0.0
-    # Each tail term is at most sup_coef (t/a_K)^2 times the one before it.
-    # The coefficient ratios are monotone in m, so their sup is the first
-    # one or the limit 1.
-    sup_coef = max(1.0, (mu + 2.0) * (mu + 3.0) / (6.0 if rate else 12.0))
-    # Direct terms while a_k < 2 t_max sqrt(sup_coef), so that the tail's
-    # term ratio stays below 1/4; the float is checked before ceil and
-    # before any allocation.
-    k_split = max(1.0, (2.0 * t_max * math.sqrt(sup_coef) - a) / beta)
-    if not k_split * ts.size <= TERM_BUDGET:
-        raise _over_budget(name, t_max, k_split * ts.size)
-    n_direct = math.ceil(k_split)
-    a_tail = a + n_direct * beta
-    q = a_tail / beta
-    ratio_max = sup_coef * (t_max / a_tail) ** 2  # <= 1/4
-    # Enough tail terms that the remainder is below eps/2 of the first.
-    n_tail = 1 if ratio_max < _EPS else max(1, math.ceil(
-        math.log(0.5 * _EPS * (1.0 - ratio_max)) / math.log(ratio_max)))
-    n_terms = n_direct + n_tail
-    if n_terms * ts.size > TERM_BUDGET:
-        raise _over_budget(name, t_max, n_terms * ts.size)
-    # q^(mu+2m-1) must stay finite and zeta(mu+2m, q) ~ q^(1-mu-2m) normal;
-    # _zeta divides by q^-(mu+2m) and raises if it underflows, so this check
-    # stays ahead of the tail.
-    if (mu + 2 * n_tail - 1.0) * math.log(q) > 690.0:
-        raise QuadratureDivergence(
-            f"{name} up to t={t_max}: the zeta tail at a/beta + K = {q:.4g} "
-            "leaves the floating-point range")
-
     term = _rate_term if rate else _bounded_term
     power = -mu - 1.0 if rate else -mu
-    total = np.zeros(ts.size, dtype=_SUM_DTYPE)
-    mag = np.zeros(ts.size, dtype=_SUM_DTYPE)
-    rows = max(1, _BLOCK // max(ts.size, 1))
-    for k0 in range(0, n_direct, rows):
-        k = np.arange(k0, min(k0 + rows, n_direct))
-        a_k = a + k * beta
-        weight = np.where(k == 0, 1.0, 2.0) * a_k**power
-        f, m = term(ts[:, None] / a_k, mu)
-        total += np.sum(f * weight, axis=1, dtype=_SUM_DTYPE)
-        mag += np.sum(m * weight, axis=1, dtype=_SUM_DTYPE)
+    a_n = a + _N_DIRECT * beta
+    # a_k^power is monotone in k, so its extremes are at k = 0 and k = N.
+    scale = _prefactor(name, p, 4.0, -p.mu, 1.0, power * math.log(a),
+                       power * math.log(a_n),
+                       power * math.log(a_n) + math.log(a_n / beta))
 
-    # Tail, scaled by 1/Gamma(mu+1) like the direct terms: with x = t/a_K,
-    # g_m = Gamma(mu+2m)/((2m)! Gamma(mu+1)) and qz_m = q^(mu+2m-1)
-    # zeta(mu+2m, q), term m is 2 (-1)^(m+1) g_m a_K^-mu q qz_m x^2m; the
-    # rate's carries an extra factor 2m/(x a_K).
-    x = ts / a_tail
-    x2 = x * x
-    xp = x if rate else x2
-    g = (mu + 1.0) / 2.0
-    tail_scale = 2.0 * a_tail**-mu * q / (a_tail if rate else 1.0)
-    for m in range(1, n_tail + 1):
-        s = mu + 2 * m
-        last = (tail_scale * g * q ** (s - 1.0) * _zeta(s, q)
-                * (2 * m if rate else 1)) * xp
-        total += last if m % 2 else -last
-        mag += np.abs(last)
-        xp = xp * x2
-        g *= s * (s + 1.0) / ((2 * m + 1.0) * (2 * m + 2.0))
-    ratio = sup_coef * x2
-    trunc = np.abs(last) * ratio / (1.0 - ratio)
+    # Direct terms k <= N with weights 1, 2, ..., 2, 1: k = N is the
+    # Euler-Maclaurin f(N)/2, doubled like every k > 0.
+    k = np.arange(_N_DIRECT + 1)
+    a_k = a + k * beta
+    weight = np.where((k == 0) | (k == _N_DIRECT), 1.0, 2.0) * a_k**power
+    # The integral int_N^inf f(k) dk, doubled.
+    integral = 2.0 * a_n**power * (a_n / beta)
+    # Correction j, doubled: (mu+1)_n (beta/a_N)^n a_N^power/coef_j times
+    # term(x, mu+n), n = 2j - 1.
+    r = beta / a_n
+    f_n = 2.0 * a_n**power * (mu + 1.0) * r
+    corrections = []
+    for j, coef in enumerate(_EM_COEF, start=1):
+        corrections.append((f_n / coef, 2 * j - 1))
+        f_n *= (mu + 2 * j) * (mu + 2 * j + 1.0) * r * r
+    # Remainder: |term(x, mu+2P)| <= 2 and int_N^inf a_k^(power-2P) dk, with
+    # the last correction's factor carrying (mu+1)_(2P-1) (beta/a_N)^(2P-1).
+    n_last = 2 * len(_EM_COEF)
+    remainder = (2.0 * abs(corrections[-1][0]) * (mu + n_last)
+                 / (n_last - 1.0 - power))
 
-    value = scale * total.astype(float)
-    # a_k carries two roundings, which a_k^power amplifies by |power|.
-    err = scale * trunc + _bound(
-        value, scale * (1.0 + abs(power)) * mag.astype(float), n_terms)
-    return value, err, n_terms * ts.size
+    value = np.empty(ts.size)
+    err = np.empty(ts.size)
+    rows = _BLOCK // len(k)
+    for i in range(0, ts.size, rows):
+        t = ts[i:i + rows]
+        f, m = term(t[:, None] / a_k, mu)
+        total = np.sum(f * weight, axis=1, dtype=_SUM_DTYPE)
+        # a_k carries two roundings, which a_k^power amplifies by |power|.
+        mag = (1.0 + abs(power)) * np.sum(m * weight, axis=1,
+                                          dtype=_SUM_DTYPE)
+        x = t / a_n
+        f, m = _integral_term(x, mu, rate)
+        total += integral * f
+        # a_N^power (a_N/beta) amplifies a_N's roundings by |power + 1|.
+        mag += (1.0 + abs(power + 1.0)) * integral * m
+        for factor, n in corrections:
+            f, m = term(x, mu + n)
+            total += factor * f
+            # n more roundings in (mu+1)_n (beta/a_N)^n.
+            mag += (1.0 + abs(power) + n) * abs(factor) * m
+        v = scale * total.astype(float)
+        err[i:i + rows] = scale * remainder * (t > 0) + _bound(
+            v, scale * mag.astype(float), _TERMS)
+        value[i:i + rows] = v
+    return value, err, _TERMS * ts.size
 
 
 def _unwrap(t, out):

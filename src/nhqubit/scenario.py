@@ -40,8 +40,7 @@ import numpy as np
 from . import __version__, bath, entropy, qsl
 from .bath import BACKEND, BathParams, DEFAULT_TOL
 from .dynamics import QubitParams, Symmetry, Trajectory, evolve
-from .errors import (ConfigError, DomainError, GridMismatch, NonPhysicalState,
-                     QuadratureDivergence)
+from .errors import ConfigError, DomainError, GridMismatch, NonPhysicalState
 from .linalg2 import DensityMatrix
 
 OUTPUT_KINDS = ("trajectory", "decoherence", "phase", "qsl", "entropy")
@@ -82,12 +81,8 @@ class Scenario:
         return np.linspace(0.0, self.t_max, self.n_points)
 
     def evolve(self) -> Trajectory:
-        # gamma sums at least one series term per time point, so a longer
-        # grid can never meet the term budget: refuse it before allocating.
-        if self.n_points > bath.TERM_BUDGET:
-            raise QuadratureDivergence(
-                f"gamma up to t={self.t_max}: {self.n_points} time points "
-                f"exceed the series-term budget of {bath.TERM_BUDGET}")
+        # gamma's own budget check, made before the grid is allocated.
+        bath.check_terms("gamma", self.t_max, self.n_points)
         return evolve([self.qubit], self.bath, self.times, self.initial,
                       self.tol)[0]
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -76,9 +77,22 @@ class TestGamma:
             bath.gamma(-1.0, caption_bath)
 
     def test_budget_exhaustion_raises(self, caption_bath, monkeypatch):
+        # Two times need more terms than the patched budget; tol = inf
+        # leaves the budget as the only way to fail.
         monkeypatch.setattr(bath, "TERM_BUDGET", 50)
-        with pytest.raises(QuadratureDivergence):
-            bath.gamma(13.77, caption_bath, tol=1e-12)
+        bath.gamma(13.77, caption_bath, tol=np.inf)
+        with pytest.raises(QuadratureDivergence, match="budget"):
+            bath.gamma([1.0, 13.77], caption_bath, tol=np.inf)
+
+    def test_term_budget_caps_the_grid(self):
+        bath.check_terms("gamma", 1.0, 263_157)
+        with pytest.raises(QuadratureDivergence, match="budget"):
+            bath.check_terms("gamma", 1.0, 263_158)
+
+    def test_terms_independent_of_horizon(self, caption_bath):
+        short, long = (bath.gamma(np.linspace(0.0, t_max, 201), caption_bath,
+                                  tol=np.inf) for t_max in (20.0, 1e6))
+        assert short.evaluations == long.evaluations
 
 
 class TestPhaseKernels:
@@ -142,28 +156,20 @@ class TestOmega2:
         )
 
 
-class TestSpecialFunctions:
-    """The in-package exprel and Hurwitz zeta against scipy.special."""
+KERNELS = [
+    lambda p, t=1.0: bath.gamma(t, p),
+    lambda p, t=1.0: bath.gamma_rate(t, p),
+    lambda p, t=1.0: bath.omega_pt(t, 0.86, p),
+    lambda p, t=1.0: bath.omega1(t, 0.86, p),
+    lambda p, t=1.0: bath.omega1_rate(t, 0.86, p),
+    lambda p, t=1.0: bath.omega2(t, 0.86, p),
+]
+KERNEL_IDS = ["gamma", "gamma_rate", "omega_pt", "omega1", "omega1_rate",
+              "omega2"]
 
-    def test_zeta_matches_scipy_bitwise(self):
-        from scipy.special import zeta
-        rng = np.random.default_rng(11)
-        n = 400
-        # (s, q) ranges reaching the direct-sum exit (large s, small q), the
-        # Euler-Maclaurin part (s near 1) and the q > 1e8 asymptote.
-        samples = [
-            (rng.uniform(20.0, 60.0, n), rng.uniform(0.05, 3.0, n)),
-            (rng.uniform(1.2, 4.0, n), 10 ** rng.uniform(-1.3, 7.0, n)),
-            (rng.uniform(1.2, 30.0, n), 10 ** rng.uniform(8.0, 12.0, n)),
-            (rng.uniform(1.2, 60.0, n), 10 ** rng.uniform(-1.3, 12.0, n)),
-        ]
-        for s, q in samples:
-            # q^-s stays normal, as _thermal's range check ensures.
-            keep = (s - 1.0) * np.log(q) < 690.0
-            got = [bath._zeta(float(x), float(y))
-                   for x, y in zip(s[keep], q[keep])]
-            assert keep.sum() > n // 2
-            assert got == zeta(s[keep], q[keep]).tolist()
+
+class TestSpecialFunctions:
+    """The in-package exprel, and the prefactor's range checks."""
 
     def test_exprel(self):
         assert bath._exprel(np.array([0.0, -0.0])).tolist() == [1.0, 1.0]
@@ -174,18 +180,24 @@ class TestSpecialFunctions:
         ref = np.array([math.expm1(v) / v for v in x])
         assert np.all(np.abs(bath._exprel(x) - ref) <= 2 * np.spacing(ref))
 
-    @pytest.mark.parametrize("kernel", [
-        lambda p: bath.gamma(1.0, p),
-        lambda p: bath.gamma_rate(1.0, p),
-        lambda p: bath.omega_pt(1.0, 0.86, p),
-        lambda p: bath.omega1(1.0, 0.86, p),
-        lambda p: bath.omega1_rate(1.0, 0.86, p),
-        lambda p: bath.omega2(1.0, 0.86, p),
-    ], ids=["gamma", "gamma_rate", "omega_pt", "omega1", "omega1_rate",
-            "omega2"])
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
     def test_prefactor_overflow_raises(self, kernel):
         with pytest.raises(QuadratureDivergence):
             kernel(BathParams(j0=1.0, omega_c=1.0, mu=172.0, beta=1000.0))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+    def test_prefactor_underflow_raises(self, kernel):
+        # 4 j0 omega_c^-mu Gamma(mu+1) underflows to 0 where a^-mu = 1e400
+        # overflows; their product 8 is in range, yet cannot be formed.
+        with pytest.raises(QuadratureDivergence, match="floating-point range"):
+            kernel(BathParams(j0=1.0, omega_c=1e200, mu=2.0, beta=0.5))
+
+    @pytest.mark.parametrize("kernel", KERNELS[:5], ids=KERNEL_IDS[:5])
+    def test_time_beyond_float_range_raises(self, kernel):
+        # (t/a)^2 overflows for t/a > 1.3e154: an error, not a warning.
+        p = BathParams(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)
+        with pytest.raises(QuadratureDivergence, match="floating-point range"):
+            kernel(p, 1e160)
 
 
 class TestParams:
@@ -228,6 +240,53 @@ def test_closed_forms_match_oracle_within_both_bounds(mu, beta):
                 kind, float(t), mu=mu, beta=beta,
                 n_panels=1_000_000 if t > 100 else 200_000)
             assert abs(value - ref) <= err + ref_err, (kind, t)
+
+
+def _hurwitz_reference(t, mu, beta, rate):
+    """gamma(t) (or d gamma/dt) at j0 = omega_c = 1 from mpmath's Hurwitz
+    zeta with a complex shift, z = 1 - i t, at 60 digits:
+
+        4 Gamma(mu+1)/mu {2 beta^-mu [zeta(mu, 1/beta) - Re zeta(mu, z/beta)]
+                          - (1 - Re z^-mu)}
+
+    and its t-derivative 4 Gamma(mu+1) {2 beta^(-mu-1) Im zeta(mu+1, z/beta)
+    - Im z^(-mu-1)}.  Both are analytic in mu; at the removable
+    singularities mu = 0 and 1 they are taken 1e-30 away."""
+    with mpmath.workdps(60):
+        m = mpmath.mpf(mu) + (mpmath.mpf("1e-30") if mu in (0.0, 1.0) else 0)
+        b, z = mpmath.mpf(beta), 1 - 1j * mpmath.mpf(t)
+        c = 4 * mpmath.gamma(m + 1)
+        if rate:
+            return float(c * (2 * b ** (-m - 1)
+                              * mpmath.im(mpmath.zeta(m + 1, z / b))
+                              - mpmath.im(z ** (-m - 1))))
+        return float(c / m * (2 * b**-m * (mpmath.zeta(m, 1 / b)
+                                           - mpmath.re(mpmath.zeta(m, z / b)))
+                              - (1 - mpmath.re(z**-m))))
+
+
+def _assert_matches_hurwitz(p, ts):
+    for rate, kernel in ((False, bath.gamma), (True, bath.gamma_rate)):
+        res = kernel(ts, p, tol=np.inf)
+        for t, value, err in zip(ts, res.value, res.abs_error):
+            ref = _hurwitz_reference(t, p.mu, p.beta, rate)
+            assert abs(value - ref) <= err, (rate, t, value, ref, err)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.2])
+@pytest.mark.parametrize("mu", [-0.5, 0.5, 0.9])
+def test_long_times_match_hurwitz_zeta(mu, beta):
+    _assert_matches_hurwitz(BathParams(j0=1.0, omega_c=1.0, mu=mu, beta=beta),
+                            np.array([300.0, 1e3, 1e4]))
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-12, -1e-12, 1e-6, 0.4999, 0.5,
+                                1.0 - 1e-6, 1.0, 1.0 + 1e-6])
+def test_removable_poles_match_hurwitz_zeta(mu):
+    """The Euler-Maclaurin integral switches form at mu = 1/2 to avoid the
+    poles of (Re z^(1-mu) - a^(1-mu))/(mu (1-mu)) at mu = 0 and 1."""
+    _assert_matches_hurwitz(BathParams(j0=1.0, omega_c=1.0, mu=mu, beta=0.5),
+                            np.array([0.5, 20.0, 300.0]))
 
 
 class TestOracleSelfConsistency:

@@ -257,11 +257,13 @@ class TestExitCodes:
 
     def test_quadrature_failure(self, pt_config, tmp_path, monkeypatch,
                                 capsys):
+        # 26 times need 26 x 38 series terms, more than the patched budget.
         monkeypatch.setattr(bath, "TERM_BUDGET", 50)
         code = cli.main(["run", str(pt_config),
                          "--out", str(tmp_path / "q"),
                          "--tol", "1e-13"])
         assert code == 4
+        assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old, new", [
         ("bath.j0 = 1.0", "bath.j0 = -1"),
@@ -337,6 +339,29 @@ class TestExitCodes:
         if code:
             assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("t_max, n_points, code", [
+        (20.0, 100_000, 0),
+        (1.0, 300_000, 4),
+    ])
+    def test_grid_limit_independent_of_horizon(self, tmp_path, capsys,
+                                               monkeypatch, t_max, n_points,
+                                               code):
+        """The longest grid is 10^7 / 38 = 263,157 points at any t_max; a
+        longer one fails before the trajectory is evolved."""
+        if code:
+            def refuse(*args, **kwargs):
+                raise AssertionError("evolved a grid over the term budget")
+            monkeypatch.setattr(scenario, "evolve", refuse)
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(PT_CONFIG
+                       .replace("grid.t_max = 5.0", f"grid.t_max = {t_max}")
+                       .replace("grid.n_points = 26",
+                                f"grid.n_points = {n_points}")
+                       .replace("decoherence, entropy, qsl", "decoherence"))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
+        if code:
+            assert "budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("edits", [
         pytest.param([("bath.mu = -0.5", "bath.mu = 172"),
                       ("bath.beta = 0.5", "bath.beta = 1000")],
@@ -345,17 +370,21 @@ class TestExitCodes:
                       ("bath.beta = 0.5", "bath.beta = 1e300"),
                       ("bath.mu = -0.5", "bath.mu = 2")],
                      id="omega_c-power-overflow"),
+        pytest.param([("bath.omega_c = 1.0", "bath.omega_c = 1e200"),
+                      ("bath.mu = -0.5", "bath.mu = 2")],
+                     id="omega_c-prefactor-underflow"),
     ])
     def test_extreme_bath_prefactor(self, tmp_path, capsys, edits):
-        """A bath whose prefactor 4 j0 omega_c^-mu Gamma(mu+1) overflows
-        exits 4, not with a traceback."""
+        """A bath whose prefactor 4 j0 omega_c^-mu Gamma(mu+1) overflows, or
+        underflows where a^-mu overflows, exits 4, not with a traceback."""
         text = PT_CONFIG.replace("decoherence, entropy, qsl", "decoherence")
         for old, new in edits:
             text = text.replace(old, new)
         cfg = tmp_path / "extreme.cfg"
         cfg.write_text(text)
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "floating-point range" in err
 
     def test_io_failure(self, pt_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"
