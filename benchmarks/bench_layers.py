@@ -1,0 +1,186 @@
+"""Per-layer timings of nhqubit, best of 7, with the machine facts.
+
+    python benchmarks/bench_layers.py change=src
+    python benchmarks/bench_layers.py parent=../parent/src change=src
+
+Times, in microseconds per call, on the caption bath (J0 = 1, beta = 0.5,
+omega_c = 1, mu = -0.5) and linspace(0, 20, n):
+
+- gamma and d gamma/dt at n = 31 and 201
+- the unit-theta kernels omega_pt, omega1 and d omega1/dt at n = 201
+- the PT state assembly T^-1 rho_d T^-dagger / tr at n = 201
+- one build each of the presets fig_pt_decoherence and fig_apt_qsl
+- scenario.write_csv on a 201 x 8 table
+
+Each LABEL=SRC argument imports the nhqubit package found in SRC, so one
+copy of this script measures any checkouts side by side.  Each quantity
+is run once untimed, then timed in 7 samples of as many back-to-back
+calls as fill 20 ms; the best sample is kept.  Sample r of every
+quantity and checkout runs before sample r + 1 of any, the checkouts in
+alternating order, so a spell of slow host spreads over all of them.
+The result, with the machine facts, is written to --out (default
+BENCH_13.json next to this directory).  numpy and the standard library
+only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPEATS = 7
+SAMPLE_S = 0.02
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def best_us(calls: dict) -> dict:
+    """{key: best of REPEATS samples of the wall time per call of fn(), in
+    us} for calls {key: fn}; a sample makes as many calls as the untimed
+    first call says fill SAMPLE_S."""
+    number = {}
+    for key, fn in calls.items():
+        start = time.perf_counter()
+        fn()
+        number[key] = max(1, int(SAMPLE_S / (time.perf_counter() - start)))
+    best = dict.fromkeys(calls, float("inf"))
+    keys = list(calls)
+    for r in range(REPEATS):
+        for key in (keys if r % 2 == 0 else keys[::-1]):
+            fn = calls[key]
+            start = time.perf_counter()
+            for _ in range(number[key]):
+                fn()
+            best[key] = min(best[key],
+                            (time.perf_counter() - start) / number[key])
+    return {key: round(t * 1e6, 1) for key, t in best.items()}
+
+
+def git_rev(src: Path) -> str | None:
+    """The checkout's commit, marked -dirty with uncommitted changes."""
+    try:
+        out = subprocess.run(["git", "-C", str(src), "describe", "--always",
+                              "--dirty", "--abbrev=40"],
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
+def stacked_assembly(t_inv, p1, p2, coherences):
+    """The PT assembly as one stacked 2x2 product per time, for checkouts
+    without dynamics._physical_states."""
+    rho_d = np.empty((len(coherences), 2, 2), dtype=complex)
+    rho_d[:, 0, 0] = p1
+    rho_d[:, 0, 1] = coherences
+    rho_d[:, 1, 0] = coherences.conj()
+    rho_d[:, 1, 1] = p2
+    phys = t_inv @ rho_d @ t_inv.conj().T
+    phys = 0.5 * (phys + phys.conj().swapaxes(-1, -2))
+    phys /= (phys[:, 0, 0].real + phys[:, 1, 1].real)[:, None, None]
+    return phys
+
+
+def load(src: Path):
+    """The nhqubit modules under src, imported afresh."""
+    for name in [m for m in sys.modules if m.split(".")[0] == "nhqubit"]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        return tuple(importlib.import_module(f"nhqubit.{m}")
+                     for m in ("bath", "dynamics", "scenario", "presets"))
+    finally:
+        sys.path.remove(str(src))
+
+
+def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
+    """({name: fn}, notes) of the quantities, for the package in src."""
+    bath, dynamics, scenario, presets = load(src)
+    b = presets.CAPTION_BATH
+    calls, notes = {}, {}
+    for n in (31, 201):
+        grid = np.linspace(0.0, 20.0, n)
+        calls[f"gamma_{n}"] = lambda ts=grid: bath.gamma(ts, b)
+        calls[f"gamma_rate_{n}"] = lambda ts=grid: bath.gamma_rate(ts, b)
+    ts = np.linspace(0.0, 20.0, 201)
+    for name in ("omega_pt", "omega1", "omega1_rate"):
+        calls[f"{name}_unit_201"] = (
+            lambda kernel=getattr(bath, name): kernel(ts, 1.0, b))
+
+    qubit = presets.caption_pt()
+    traj = dynamics.evolve_pt(qubit, b, ts)
+    t_inv = np.linalg.inv(dynamics.transformation_matrix(qubit))
+    rho0 = traj.rho0_diag
+    coherences = rho0.c * np.exp(1j * traj.phase) * traj.decoherence
+    assemble = getattr(dynamics, "_physical_states", None)
+    if assemble is None:
+        assemble = stacked_assembly
+        notes["pt_assembly_201"] = "stacked per-time product, as inlined"
+    calls["pt_assembly_201"] = (
+        lambda: assemble(t_inv, rho0.p1, rho0.p2, coherences))
+
+    for name in ("fig_pt_decoherence", "fig_apt_qsl"):
+        calls[f"build_{name}"] = (
+            lambda preset=presets.PRESETS[name]:
+            preset.build(bath.DEFAULT_TOL))
+
+    header = ["t"] + [f"col{j}" for j in range(7)]
+    columns = [ts] + [np.sin((j + 1) * ts) for j in range(7)]
+    calls["write_csv_201x8"] = (
+        lambda: scenario.write_csv(csv_path, header, columns))
+    return calls, notes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs="+", metavar="LABEL=SRC",
+                        help="a label and the directory holding nhqubit")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_13.json")
+    args = parser.parse_args(argv)
+
+    sources = {}
+    for item in args.checkouts:
+        label, sep, src = item.partition("=")
+        if not (sep and label and src):
+            parser.error(f"expected LABEL=SRC, got {item!r}")
+        sources[label] = Path(src).resolve()
+
+    runs, calls = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, src in sources.items():
+            fns, notes = calls_for(src, Path(tmp) / f"{label}.csv")
+            calls.update({(label, name): fn for name, fn in fns.items()})
+            runs[label] = {"git_rev": git_rev(src), "times": {}}
+            if notes:
+                runs[label]["notes"] = notes
+        for (label, name), value in best_us(calls).items():
+            runs[label]["times"][name] = value
+
+    result = {
+        "machine": {"nproc": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "numpy": np.__version__},
+        "repeats": REPEATS,
+        "unit": "us per call, best of repeats",
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    names = list(next(iter(runs.values()))["times"])
+    print(f"{'':28s}" + "".join(f"{label:>12s}" for label in runs))
+    for name in names:
+        print(f"{name:28s}" + "".join(f"{run['times'][name]:12.1f}"
+                                      for run in runs.values()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

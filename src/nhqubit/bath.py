@@ -78,7 +78,7 @@ _EM_COEF = (
 )
 # Per time: the direct terms, f(N)/2, the integral and the corrections.
 _TERMS = _N_DIRECT + 2 + len(_EM_COEF)
-# (k, t) pairs evaluated per block of the direct sum; bounds peak memory.
+# (term, t) pairs evaluated per block of the sum; bounds peak memory.
 _BLOCK = 1 << 16
 
 
@@ -189,7 +189,7 @@ def _bounded_term(x, mu):
     c = np.cos(y)
     # An error d in y moves cos y by |y sin y| d <= min(|y|, y^2) d.
     mag = (u * ((1.0 + np.abs(e)) * np.abs(c) + np.minimum(np.abs(y), y * y))
-           + 0.5 * abs(mu) * phi * phi)
+           + 0.5 * np.abs(mu) * phi * phi)
     return u * c + v, mag
 
 
@@ -298,39 +298,42 @@ def _thermal(name: str, ts, p: BathParams, rate: bool):
     # The integral int_N^inf f(k) dk, doubled.
     integral = 2.0 * a_n**power * (a_n / beta)
     # Correction j, doubled: (mu+1)_n (beta/a_N)^n a_N^power/coef_j times
-    # term(x, mu+n), n = 2j - 1.
+    # term(t/a_N, mu+n), n = 2j - 1.
     r = beta / a_n
     f_n = 2.0 * a_n**power * (mu + 1.0) * r
-    corrections = []
+    factor = np.empty(len(_EM_COEF))
     for j, coef in enumerate(_EM_COEF, start=1):
-        corrections.append((f_n / coef, 2 * j - 1))
+        factor[j - 1] = f_n / coef
         f_n *= (mu + 2 * j) * (mu + 2 * j + 1.0) * r * r
+    n = np.arange(1, 2 * len(_EM_COEF), 2)
     # Remainder: |term(x, mu+2P)| <= 2 and int_N^inf a_k^(power-2P) dk, with
     # the last correction's factor carrying (mu+1)_(2P-1) (beta/a_N)^(2P-1).
     n_last = 2 * len(_EM_COEF)
-    remainder = (2.0 * abs(corrections[-1][0]) * (mu + n_last)
+    remainder = (2.0 * abs(factor[-1]) * (mu + n_last)
                  / (n_last - 1.0 - power))
+
+    # One column per direct term and per correction: term(t/a_col, mu_col)
+    # weighted in value and in rounding magnitude.  a_k carries two
+    # roundings, which a_k^power amplifies by |power|; (mu+1)_n (beta/a_N)^n
+    # adds n more.
+    a_col = np.concatenate([a_k, np.full(n.size, a_n)])
+    mu_col = np.concatenate([np.full(k.size, mu), mu + n])
+    w_val = np.concatenate([weight, factor])
+    w_mag = np.concatenate([(1.0 + abs(power)) * weight,
+                            (1.0 + abs(power) + n) * np.abs(factor)])
 
     value = np.empty(ts.size)
     err = np.empty(ts.size)
-    rows = _BLOCK // len(k)
+    rows = _BLOCK // a_col.size
     for i in range(0, ts.size, rows):
         t = ts[i:i + rows]
-        f, m = term(t[:, None] / a_k, mu)
-        total = np.sum(f * weight, axis=1, dtype=_SUM_DTYPE)
-        # a_k carries two roundings, which a_k^power amplifies by |power|.
-        mag = (1.0 + abs(power)) * np.sum(m * weight, axis=1,
-                                          dtype=_SUM_DTYPE)
-        x = t / a_n
-        f, m = _integral_term(x, mu, rate)
+        f, m = term(t[:, None] / a_col, mu_col)
+        total = np.sum(f * w_val, axis=1, dtype=_SUM_DTYPE)
+        mag = np.sum(m * w_mag, axis=1, dtype=_SUM_DTYPE)
+        f, m = _integral_term(t / a_n, mu, rate)
         total += integral * f
         # a_N^power (a_N/beta) amplifies a_N's roundings by |power + 1|.
         mag += (1.0 + abs(power + 1.0)) * integral * m
-        for factor, n in corrections:
-            f, m = term(x, mu + n)
-            total += factor * f
-            # n more roundings in (mu+1)_n (beta/a_N)^n.
-            mag += (1.0 + abs(power) + n) * abs(factor) * m
         v = scale * total.astype(float)
         err[i:i + rows] = scale * remainder * (t > 0) + _bound(
             v, scale * mag.astype(float), _TERMS)
@@ -370,41 +373,71 @@ def gamma_rate(t, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
                    *_thermal("gamma_rate", ts, p, True), tol)
 
 
-def _per_theta(name: str, term, power: float, t, theta: float,
-               p: BathParams, tol: float) -> QuadratureResult:
-    # The kernels are exactly linear in theta: evaluate per unit theta and
-    # scale, so a theta sweep sees identical per-unit values.
-    ts = _times(t)
-    return _result(name, t, ts, *_single(name, term, power, ts, p), tol,
-                   theta)
+# The theta-linear kernels: their series term, and the power of a as an
+# offset from -mu.
+_THETA_LINEAR = {
+    "omega_pt": (_ramp_term, 0.0),
+    "omega1": (_bounded_term, 0.0),
+    "omega1_rate": (_rate_term, -1.0),
+}
+
+
+class ThetaKernels:
+    """omega_pt, omega1 and omega1_rate of one bath on one time grid, for
+    any theta.
+
+    The kernels are exactly linear in theta, so each is evaluated per unit
+    theta on first use, at most once per table, and every call scales the
+    value by theta and the error bound by |theta| before the tol check: a
+    theta sweep sees identical per-unit values, and each result is the
+    public kernel's, bit for bit.
+    """
+
+    def __init__(self, t, p: BathParams):
+        self._t, self._ts, self._p = t, _times(t), p
+        self._unit = {}
+
+    def __call__(self, name: str, theta: float,
+                 tol: float = DEFAULT_TOL) -> QuadratureResult:
+        if name not in self._unit:
+            term, shift = _THETA_LINEAR[name]
+            self._unit[name] = _single(name, term, shift - self._p.mu,
+                                       self._ts, self._p)
+        return _result(name, self._t, self._ts, *self._unit[name], tol,
+                       theta)
 
 
 def omega_pt(t, theta: float, p: BathParams,
              tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Unbounded phase kernel Omega(t); sign(theta) for t > 0, linear in theta."""
-    return _per_theta("omega_pt", _ramp_term, -p.mu, t, theta, p, tol)
+    return ThetaKernels(t, p)("omega_pt", theta, tol)
 
 
 def omega1(t, theta: float, p: BathParams,
            tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Bounded phase kernel Omega_1(t); linear in theta."""
-    return _per_theta("omega1", _bounded_term, -p.mu, t, theta, p, tol)
+    return ThetaKernels(t, p)("omega1", theta, tol)
 
 
 def omega1_rate(t, theta: float, p: BathParams,
                 tol: float = DEFAULT_TOL) -> QuadratureResult:
     """d Omega_1 / dt, linear in theta."""
-    return _per_theta("omega1_rate", _rate_term, -p.mu - 1.0, t, theta, p,
-                      tol)
+    return ThetaKernels(t, p)("omega1_rate", theta, tol)
+
+
+@_in_range
+def _omega2(name: str, ts, theta: float, p: BathParams, rate: bool):
+    """Omega_2 (rate=False) or d Omega_2/dt (rate=True) on the times ts."""
+    if rate:
+        return 4.0 * theta * ts * moment0(p)
+    return 2.0 * theta * ts * ts * moment0(p)
 
 
 def omega2(t, theta: float, p: BathParams):
     """Quadratic phase kernel Omega_2(t) = 2 theta t^2 * int J, closed form."""
-    ts = _times(t)
-    return _unwrap(t, 2.0 * theta * ts * ts * moment0(p))
+    return _unwrap(t, _omega2("omega2", _times(t), theta, p, False))
 
 
 def omega2_rate(t, theta: float, p: BathParams):
     """d Omega_2 / dt = 4 theta t * int J."""
-    ts = _times(t)
-    return _unwrap(t, 4.0 * theta * ts * moment0(p))
+    return _unwrap(t, _omega2("omega2_rate", _times(t), theta, p, True))

@@ -5,12 +5,16 @@ in the appropriate frame while the coherence picks up a phase and the
 multiplicative damping D(t) = exp(-omega0^2 gamma(t)).
 
 A Trajectory holds the states as arrays over the time grid; DensityMatrix
-objects are built only on request (Trajectory.states).
+objects are built only on request (Trajectory.states).  PT states are
+mapped back to the physical frame through T^-1; Anti-PT states stay in the
+eigenframe of H, where they evolve under diag(exp(-i E t)).
 
-evolve() takes a parameter sweep in one bath: gamma(t) (and d gamma/dt for
-Anti-PT) depends only on the bath and the grid, so it is evaluated once per
-call and shared; each qubit then adds its own theta-dependent kernels.
-evolve_pt and evolve_apt are one-qubit calls of it.
+evolve() takes a parameter sweep in one bath, as whole-array passes over
+the grid.  gamma(t) (and d gamma/dt for Anti-PT) depends only on the bath
+and the grid, and Omega, Omega_1 and d Omega_1/dt are theta times a
+per-unit-theta kernel of the same, so each is evaluated at most once per
+call (bath.ThetaKernels) and scaled per qubit.  evolve_pt and evolve_apt
+are one-qubit calls of it.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class Trajectory:
     """Time grid with per-time states, damping and accumulated phase.
 
     p1[i], p2[i] and c[i] are the populations and upper coherence of the
-    physical-frame state at times[i], checked physical on construction.
+    state at times[i], checked physical on construction: the physical-frame
+    state for PT, the eigenframe state for Anti-PT.
     phase[i] is the coherence phase accumulated since t = 0 (the initial
     coherence's own argument is not included).  For Anti-PT trajectories
     lnorm_analytic holds |d rho/dt|_op from the differentiated closed form.
@@ -103,13 +108,15 @@ class Trajectory:
 
     @property
     def states(self) -> list[DensityMatrix]:
-        """Physical-frame states as DensityMatrix objects, built on demand."""
+        """The states (p1, p2, c) as DensityMatrix objects, built on
+        demand."""
         return _states(self.p1, self.p2, self.c)
 
     def dephasing_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p1, p2, c) in the frame where dephasing is diagonal: populations
         frozen, coherence c0 exp(i phase) D.  The entropies are defined on
-        these states; for Anti-PT they are the physical states."""
+        these states; for Anti-PT they are the trajectory's own eigenframe
+        states."""
         if self.symmetry is Symmetry.ANTI_PT:
             return self.p1, self.p2, self.c
         base = self.rho0_diag
@@ -204,24 +211,40 @@ def decoherence_function(p: QubitParams, b: BathParams, t: float,
     return math.exp(-(omega0**2) * bath.gamma(t, b, tol).value)
 
 
-def _pt_trajectory(p, omega0, b, ts, rho0_diag, g, tol) -> Trajectory:
-    """One PT trajectory on the validated grid ts, given gamma there."""
+def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
+    """T^-1 rho_d T^-dagger / tr at every time, as an (n, 2, 2) array, for
+    the eigenframe states with populations p1, p2 and the coherences given.
+
+    T^-1 rho_d stays one small product per time; the product with
+    T^-dagger is one (2n, 2) @ (2, 2) product over the whole grid, which
+    rounds as the per-time products do.  The (2, 2) @ (2, 2n) form of the
+    first product rounds differently, and the finite-difference Liouvillian
+    norm of the QSL amplifies those last-bit changes."""
+    n = len(coherences)
+    rho_d = np.empty((n, 2, 2), dtype=complex)
+    rho_d[:, 0, 0] = p1
+    rho_d[:, 0, 1] = coherences
+    rho_d[:, 1, 0] = coherences.conj()
+    rho_d[:, 1, 1] = p2
+    phys = ((t_inv @ rho_d).reshape(2 * n, 2)
+            @ t_inv.conj().T).reshape(n, 2, 2)
+    phys = 0.5 * (phys + phys.conj().swapaxes(-1, -2))  # scrub rounding drift
+    phys /= (phys[:, 0, 0].real + phys[:, 1, 1].real)[:, None, None]
+    return phys
+
+
+def _pt_trajectory(p, omega0, ts, rho0_diag, g, kernels, tol) -> Trajectory:
+    """One PT trajectory on the validated grid ts, given gamma there and
+    the grid's theta-linear kernels."""
     t_inv = np.linalg.inv(transformation_matrix(p))
 
-    om = bath.omega_pt(ts, p.theta, b, tol)
+    om = kernels("omega_pt", p.theta, tol)
     damping = np.exp(-(omega0**2) * g.value)
     phases = 2.0 * omega0 * ts - omega0 * om.value
     coherences = rho0_diag.c * np.exp(1j * phases) * damping
     max_err = float(max(g.abs_error.max(), om.abs_error.max()))
 
-    rho_d = np.empty((len(ts), 2, 2), dtype=complex)
-    rho_d[:, 0, 0] = rho0_diag.p1
-    rho_d[:, 0, 1] = coherences
-    rho_d[:, 1, 0] = coherences.conj()
-    rho_d[:, 1, 1] = rho0_diag.p2
-    phys = t_inv @ rho_d @ t_inv.conj().T
-    phys = 0.5 * (phys + phys.conj().swapaxes(-1, -2))  # scrub rounding drift
-    phys /= (phys[:, 0, 0].real + phys[:, 1, 1].real)[:, None, None]
+    phys = _physical_states(t_inv, rho0_diag.p1, rho0_diag.p2, coherences)
 
     return Trajectory(
         symmetry=Symmetry.PT,
@@ -237,10 +260,12 @@ def _pt_trajectory(p, omega0, b, ts, rho0_diag, g, tol) -> Trajectory:
     )
 
 
-def _apt_trajectory(p, omega0, b, ts, rho0, g, dg, tol) -> Trajectory:
-    """One Anti-PT trajectory, given gamma and d gamma/dt on ts."""
-    o1 = bath.omega1(ts, p.theta, b, tol)
-    do1 = bath.omega1_rate(ts, p.theta, b, tol)
+def _apt_trajectory(p, omega0, b, ts, rho0, g, dg, kernels,
+                    tol) -> Trajectory:
+    """One Anti-PT trajectory, given gamma, d gamma/dt and the
+    theta-linear kernels on ts."""
+    o1 = kernels("omega1", p.theta, tol)
+    do1 = kernels("omega1_rate", p.theta, tol)
     max_err = float(max(r.abs_error.max() for r in (g, o1, dg, do1)))
 
     damping = np.exp(-(omega0**2) * g.value)
@@ -270,10 +295,13 @@ def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
            tol: float = DEFAULT_TOL) -> list[Trajectory]:
     """Trajectories of a parameter sweep in one bath, in the order given.
 
-    initial is the diagonal-frame state for PT qubits and the physical
-    state for Anti-PT ones (|+> by default).  gamma depends only on the bath
-    and the grid, so it is evaluated once per call, and d gamma/dt once if
-    any qubit is Anti-PT; the theta-dependent kernels stay per qubit.
+    initial is the eigenframe state at t = 0 for both classes (|+> by
+    default); PT trajectories map it to the physical frame, Anti-PT ones
+    stay in the eigenframe.  gamma is evaluated once per call, d gamma/dt
+    once if any qubit is Anti-PT, and each theta-linear kernel per unit
+    theta once if some qubit's class needs it; each qubit scales those by
+    its theta before the tol check, so a sweep and one call per qubit give
+    the same trajectories bit for bit.
     """
     omegas = [_require_positive_split(p) for p in qubits]
     ts = _validate_times(times)
@@ -282,9 +310,11 @@ def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
     g = bath.gamma(ts, b, tol)
     dg = (bath.gamma_rate(ts, b, tol)
           if any(p.symmetry is Symmetry.ANTI_PT for p in qubits) else None)
-    return [_pt_trajectory(p, omega0, b, ts, initial, g, tol)
+    kernels = bath.ThetaKernels(ts, b)
+    return [_pt_trajectory(p, omega0, ts, initial, g, kernels, tol)
             if p.symmetry is Symmetry.PT
-            else _apt_trajectory(p, omega0, b, ts, initial, g, dg, tol)
+            else _apt_trajectory(p, omega0, b, ts, initial, g, dg, kernels,
+                                 tol)
             for p, omega0 in zip(qubits, omegas)]
 
 
@@ -301,8 +331,8 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
 def evolve_apt(p: QubitParams, b: BathParams, times,
                rho0: DensityMatrix | None = None,
                tol: float = DEFAULT_TOL) -> Trajectory:
-    """Anti-PT trajectory: populations frozen, coherence damped by D(t)
-    with phase 2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
+    """Anti-PT trajectory in the eigenframe: populations frozen, coherence
+    damped by D(t) with phase 2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
     if p.symmetry is not Symmetry.ANTI_PT:
         raise ValueError("evolve_apt requires Anti-PT-class parameters")
     return evolve([p], b, times, rho0, tol)[0]

@@ -84,7 +84,8 @@ def entropy_series(traj: Trajectory, orders,
     Keys are the orders as given (math.inf allowed); values are per-time
     arrays in nats.  By default the entropies are taken on the dephasing-
     frame states, whose spectrum is governed by D(t); pass dephasing=False
-    for the physical-frame states (they differ only for the PT class).
+    for the trajectory's own states, the physical-frame ones for PT (for
+    Anti-PT the two coincide).
     """
     frame = (traj.dephasing_frame() if dephasing
              else (traj.p1, traj.p2, traj.c))

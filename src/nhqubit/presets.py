@@ -5,7 +5,9 @@ the caption bath (J0 = 1, beta = 0.5, omega_c = 1, mu = -0.5) on
 linspace(0, 20, 201).  Its one CSV holds a column per quantity and case,
 grouped by quantity, and scenario.emit writes it with its manifest, as
 for a scenario run.  A build evolves its cases in one dynamics.evolve
-call, so gamma(t) is evaluated once per build.  Reproduction is
+call, so gamma(t) and each theta-linear kernel are evaluated once per
+build; the phase-function presets read one bath.ThetaKernels table the
+same way.  Reproduction is
 qualitative (curve shapes, orderings, constants): the published figures
 do not state the exact spectral-density form.
 """
@@ -80,7 +82,9 @@ class Preset:
         max_err = 0.0
         for quantity in self.quantities:
             if quantity == "phase_function":
-                results = [_phase_function(p, ts, tol) for p in qubits]
+                kernels = bath.ThetaKernels(ts, CAPTION_BATH)
+                results = [_phase_function(p, ts, kernels, tol)
+                           for p in qubits]
             else:
                 trajs = trajs or evolve(qubits, CAPTION_BATH, ts, tol=tol)
                 results = [(_trajectory_column(traj, quantity),
@@ -92,13 +96,14 @@ class Preset:
         return header, cols, max_err
 
 
-def _phase_function(p: QubitParams, ts: np.ndarray, tol: float):
+def _phase_function(p: QubitParams, ts: np.ndarray,
+                    kernels: bath.ThetaKernels, tol: float):
     if p.symmetry is Symmetry.PT:
         # The published curves plot the negative of the ramp kernel.
-        res = bath.omega_pt(ts, p.theta, CAPTION_BATH, tol)
+        res = kernels("omega_pt", p.theta, tol)
         return -res.value, float(res.abs_error.max())
     # Omega_2 - Omega_1: identical across (xi, delta) pairs.
-    o1 = bath.omega1(ts, p.theta, CAPTION_BATH, tol)
+    o1 = kernels("omega1", p.theta, tol)
     return (bath.omega2(ts, p.theta, CAPTION_BATH) - o1.value,
             float(o1.abs_error.max()))
 

@@ -132,6 +132,38 @@ class TestPhaseKernels:
             assert got == pytest.approx(fd, abs=1e-6)
 
 
+class TestThetaKernels:
+    THETAS = (0.0, 0.3, -0.86, 2.5)
+    PUBLIC = {"omega_pt": bath.omega_pt, "omega1": bath.omega1,
+              "omega1_rate": bath.omega1_rate}
+
+    def test_table_matches_public_kernels_bitwise(self, caption_bath):
+        ts = np.linspace(0.0, 20.0, 201)
+        table = bath.ThetaKernels(ts, caption_bath)
+        for name, public in self.PUBLIC.items():
+            for theta in self.THETAS:
+                got, ref = table(name, theta), public(ts, theta, caption_bath)
+                assert np.array_equal(got.value, ref.value), (name, theta)
+                assert np.array_equal(got.abs_error, ref.abs_error)
+                assert got.evaluations == ref.evaluations
+
+    def test_tol_checked_after_theta_scaling(self, caption_bath):
+        # A tol the unit-theta bound meets but 2.5 times it does not.
+        ts = np.linspace(0.0, 20.0, 201)
+        table = bath.ThetaKernels(ts, caption_bath)
+        for name, public in self.PUBLIC.items():
+            unit = float(table(name, 1.0, np.inf).abs_error.max())
+            tol = 1.5 * unit
+            table(name, 1.0, tol)
+            with pytest.raises(QuadratureDivergence) as got:
+                table(name, 2.5, tol)
+            with pytest.raises(QuadratureDivergence) as ref:
+                public(ts, 2.5, caption_bath, tol)
+            assert str(got.value) == str(ref.value)
+            assert str(got.value).startswith(f"{name} at t=")
+            assert f"> tol {tol:.3e}" in str(got.value)
+
+
 class TestOmega2:
     def test_closed_form_ohmic(self):
         # mu = 0: moment0 = Gamma(2) = 1, so Omega_2 = 2 theta t^2.
@@ -163,9 +195,10 @@ KERNELS = [
     lambda p, t=1.0: bath.omega1(t, 0.86, p),
     lambda p, t=1.0: bath.omega1_rate(t, 0.86, p),
     lambda p, t=1.0: bath.omega2(t, 0.86, p),
+    lambda p, t=1.0: bath.omega2_rate(t, 0.86, p),
 ]
 KERNEL_IDS = ["gamma", "gamma_rate", "omega_pt", "omega1", "omega1_rate",
-              "omega2"]
+              "omega2", "omega2_rate"]
 
 
 class TestSpecialFunctions:
@@ -192,12 +225,16 @@ class TestSpecialFunctions:
         with pytest.raises(QuadratureDivergence, match="floating-point range"):
             kernel(BathParams(j0=1.0, omega_c=1e200, mu=2.0, beta=0.5))
 
-    @pytest.mark.parametrize("kernel", KERNELS[:5], ids=KERNEL_IDS[:5])
-    def test_time_beyond_float_range_raises(self, kernel):
-        # (t/a)^2 overflows for t/a > 1.3e154: an error, not a warning.
+    @pytest.mark.parametrize("kernel, t",
+                             zip(KERNELS, [1e160] * 6 + [1e308]),
+                             ids=KERNEL_IDS)
+    def test_time_beyond_float_range_raises(self, kernel, t):
+        # (t/a)^2 overflows for t/a > 1.3e154, and so does Omega_2's t^2;
+        # its rate, linear in t, only near the largest float: an error,
+        # not a warning.
         p = BathParams(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)
         with pytest.raises(QuadratureDivergence, match="floating-point range"):
-            kernel(p, 1e160)
+            kernel(p, t)
 
 
 class TestParams:
@@ -240,6 +277,69 @@ def test_closed_forms_match_oracle_within_both_bounds(mu, beta):
                 kind, float(t), mu=mu, beta=beta,
                 n_panels=1_000_000 if t > 100 else 200_000)
             assert abs(value - ref) <= err + ref_err, (kind, t)
+
+
+def _thermal_loop(ts, p, rate):
+    """gamma (or d gamma/dt) value, bound and rounding magnitude on ts, one
+    time and one Euler-Maclaurin correction at a time, summed in
+    bath._SUM_DTYPE: the reference for the array passes of bath._thermal."""
+    mu, a, beta = p.mu, 1.0 / p.omega_c, p.beta
+    term = bath._rate_term if rate else bath._bounded_term
+    power = -mu - 1.0 if rate else -mu
+    n_direct, coefs = bath._N_DIRECT, bath._EM_COEF
+    a_n = a + n_direct * beta
+    scale = bath._prefactor("ref", p, 4.0, -mu, 1.0)
+    integral = 2.0 * a_n**power * (a_n / beta)
+    r = beta / a_n
+    factors, f_n = [], 2.0 * a_n**power * (mu + 1.0) * r
+    for j, coef in enumerate(coefs, start=1):
+        factors.append((f_n / coef, 2 * j - 1))
+        f_n *= (mu + 2 * j) * (mu + 2 * j + 1.0) * r * r
+    n_last = 2 * len(coefs)
+    remainder = (2.0 * abs(factors[-1][0]) * (mu + n_last)
+                 / (n_last - 1.0 - power))
+    values, errors, mags = [], [], []
+    for t in ts:
+        total = mag = bath._SUM_DTYPE(0.0)
+        for k in range(n_direct + 1):
+            a_k = a + k * beta
+            w = (1.0 if k in (0, n_direct) else 2.0) * a_k**power
+            f, m = term(np.array([t / a_k]), mu)
+            total += w * f[0]
+            mag += (1.0 + abs(power)) * w * m[0]
+        x = np.array([t / a_n])
+        f, m = bath._integral_term(x, mu, rate)
+        total += integral * f[0]
+        mag += (1.0 + abs(power + 1.0)) * integral * m[0]
+        for factor, n in factors:
+            f, m = term(x, mu + n)
+            total += factor * f[0]
+            mag += (1.0 + abs(power) + n) * abs(factor) * m[0]
+        v = scale * float(total)
+        values.append(v)
+        mags.append(scale * float(mag))
+        errors.append(scale * remainder * (t > 0)
+                      + bath._bound(v, scale * float(mag), bath._TERMS))
+    return np.array(values), np.array(errors), np.array(mags)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1e4])
+@pytest.mark.parametrize("mu", [-0.9, 0.0, 0.5, 1.0, 2.5])
+def test_thermal_matches_per_correction_loop(mu, beta):
+    p = BathParams(j0=1.0, omega_c=1.0, mu=mu, beta=beta)
+    # More times than one block of the array pass holds, and long times.
+    ts = np.concatenate([np.linspace(0.0, 40.0, 1801), [300.0, 1e4]])
+    for rate, kernel in ((False, bath.gamma), (True, bath.gamma_rate)):
+        res = kernel(ts, p, tol=np.inf)
+        idx = np.r_[0:40, 1760:1803]
+        value, err, mag = _thermal_loop(ts[idx], p, rate)
+        # The two sums add the same terms in different orders in
+        # bath._SUM_DTYPE, so they may differ by that rounding of the terms'
+        # magnitude, and their rounding to double by one unit more.
+        order = 2 * bath._TERMS * bath._SUM_EPS * mag + np.spacing(abs(value))
+        assert np.all(np.abs(res.value[idx] - value)
+                      <= 1e-3 * res.abs_error[idx] + order), rate
+        assert np.allclose(res.abs_error[idx], err, rtol=1e-12, atol=0.0)
 
 
 def _hurwitz_reference(t, mu, beta, rate):

@@ -212,6 +212,60 @@ class TestEvolveSweep:
             evolve([CAPTION_APT, CAPTION_PT], caption_bath, [1.0, 2.0])
 
 
+class TestThetaKernelTable:
+    def test_once_per_preset_build(self, tmp_path, monkeypatch):
+        """Each build evaluates each unit-theta kernel its cases need once,
+        whatever the number of qubits: per pass of the 13 presets, 7
+        omega_pt, 7 omega1 and 6 omega1_rate (43, 25 and 21 when each
+        qubit evaluated its own)."""
+        from nhqubit.presets import PRESETS, run_preset
+        calls = {}
+        single = bath._single
+
+        def counted(name, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return single(name, *args)
+
+        monkeypatch.setattr(bath, "_single", counted)
+        for name in PRESETS:
+            run_preset(name, tmp_path / name)
+        assert set(calls) == {"omega_pt", "omega1", "omega1_rate"}
+        assert calls["omega_pt"] <= 7 and calls["omega1"] <= 7
+        assert calls["omega1_rate"] <= 6
+
+
+class TestPTAssembly:
+    @pytest.mark.parametrize("n", [3, 4, 201, 2999])
+    def test_matches_per_time_loop(self, caption_bath, n):
+        """The grid-wide assembly against plain 2x2 T^-1 rho_d T^-dagger / tr,
+        one time at a time, for random unbroken PT parameters: every entry
+        within 4 ulp of the state's largest entry, the scale at which a
+        2x2 product rounds."""
+        rng = np.random.default_rng(n)
+        ts = np.linspace(0.0, 10.0, n)
+        for _ in range(5):
+            theta = rng.uniform(-1.0, 1.0)
+            xi, delta = rng.uniform(-1.5, 1.5, 2)
+            if xi**2 + delta**2 - theta**2 < 1e-2:
+                continue
+            p = QubitParams(alpha=rng.uniform(-2.0, 2.0), theta=theta, xi=xi,
+                            delta=delta, symmetry=Symmetry.PT)
+            rho0 = DensityMatrix.from_expectations(
+                sz=rng.uniform(-0.5, 0.5), coherence=0.3 * np.exp(
+                    2j * np.pi * rng.uniform()))
+            traj = evolve_pt(p, caption_bath, ts, rho0_diag=rho0)
+            t_inv = np.linalg.inv(transformation_matrix(p))
+            coherences = rho0.c * np.exp(1j * traj.phase) * traj.decoherence
+            for i, c in enumerate(coherences):
+                rho_d = np.array([[rho0.p1, c], [np.conj(c), rho0.p2]])
+                m = t_inv @ rho_d @ t_inv.conj().T
+                m /= (m[0, 0] + m[1, 1]).real
+                ulp = np.spacing(np.abs(m).max())
+                assert abs(traj.p1[i] - m[0, 0].real) <= 4 * ulp
+                assert abs(traj.p2[i] - m[1, 1].real) <= 4 * ulp
+                assert abs(traj.c[i] - m[0, 1]) <= 4 * ulp
+
+
 class TestDecoherenceFunction:
     def test_matches_trajectory(self, caption_bath):
         d = decoherence_function(CAPTION_PT, caption_bath, 1.0)
