@@ -1,7 +1,8 @@
 """Per-layer timings of nhqubit, best of 7, with the machine facts.
 
-    python benchmarks/bench_layers.py change=src
-    python benchmarks/bench_layers.py parent=../parent/src change=src
+    python benchmarks/bench_layers.py change=src --out BENCH.json
+    python benchmarks/bench_layers.py parent=../parent/src change=src \
+        --out BENCH.json
 
 Times, in microseconds per call, on the caption bath (J0 = 1, beta = 0.5,
 omega_c = 1, mu = -0.5) and linspace(0, 20, n):
@@ -9,7 +10,12 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - gamma and d gamma/dt at n = 31 and 201
 - the unit-theta kernels omega_pt, omega1 and d omega1/dt at n = 201
 - the PT state assembly T^-1 rho_d T^-dagger / tr at n = 201
-- one build each of the presets fig_pt_decoherence and fig_apt_qsl
+- one build each of the presets fig_pt_decoherence and fig_apt_qsl; in a
+  checkout whose presets share one kernel table (presets.caption_kernels)
+  every timed build finds it filled, as all builds but the first of a
+  process do
+- one pass of all 13 preset builds from a cold kernel table, as a fresh
+  process pays it
 - scenario.write_csv on a 201 x 8 table
 
 Each LABEL=SRC argument imports the nhqubit package found in SRC, so one
@@ -18,9 +24,9 @@ is run once untimed, then timed in 7 samples of as many back-to-back
 calls as fill 20 ms; the best sample is kept.  Sample r of every
 quantity and checkout runs before sample r + 1 of any, the checkouts in
 alternating order, so a spell of slow host spreads over all of them.
-The result, with the machine facts, is written to --out (default
-BENCH_13.json next to this directory).  numpy and the standard library
-only; pytest does not collect this file.
+The result, with the machine facts, is written to --out, which is
+required so that no run overwrites a committed BENCH_*.json by default.
+numpy and the standard library only; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ import numpy as np
 
 REPEATS = 7
 SAMPLE_S = 0.02
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def best_us(calls: dict) -> dict:
@@ -133,6 +138,17 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
             lambda preset=presets.PRESETS[name]:
             preset.build(bath.DEFAULT_TOL))
 
+    # A checkout without the shared table builds every preset cold.
+    cold = getattr(getattr(presets, "caption_kernels", None), "cache_clear",
+                   lambda: None)
+
+    def presets_pass():
+        cold()
+        for preset in presets.PRESETS.values():
+            preset.build(bath.DEFAULT_TOL)
+
+    calls["presets_pass_13"] = presets_pass
+
     header = ["t"] + [f"col{j}" for j in range(7)]
     columns = [ts] + [np.sin((j + 1) * ts) for j in range(7)]
     calls["write_csv_201x8"] = (
@@ -144,7 +160,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=SRC",
                         help="a label and the directory holding nhqubit")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_13.json")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="the JSON file to write")
     args = parser.parse_args(argv)
 
     sources = {}

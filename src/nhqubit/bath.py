@@ -39,6 +39,11 @@ QuadratureResult whose abs_error is the series-truncation bound plus a
 floating-point rounding bound built from the magnitudes of the terms.
 A kernel whose bound exceeds tol, or a grid whose series would need more
 than TERM_BUDGET terms, raises QuadratureDivergence.
+
+A Kernels table holds gamma, d gamma/dt and the three theta-linear kernels
+of one bath on one grid, each evaluated at most once per table, and checks
+tol on every read.  Each public kernel is a one-shot table, so a shared
+table and a public call give the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -175,14 +180,15 @@ def _times(t) -> np.ndarray:
 
 
 def _log_and_angle(x):
-    """log|1 - i x| and -arg(1 - i x), accurate for small x."""
+    """log|1 - i x| and -arg(1 - i x), accurate for small x: the polar
+    argument of the term functions, passed where the caller has it."""
     return 0.5 * np.log1p(x * x), np.arctan(x)
 
 
-def _bounded_term(x, mu):
+def _bounded_term(x, mu, polar=None):
     """Gamma(mu)(1 - Re (1 - i x)^-mu) / Gamma(mu+1) and its rounding
     magnitude: the (1 - cos wt) kernels at a = 1, t = x."""
-    rho, phi = _log_and_angle(x)
+    rho, phi = _log_and_angle(x) if polar is None else polar
     e, y = mu * rho, mu * phi
     u = rho * _exprel(-e)
     v = 0.5 * mu * (phi * np.sinc(y / (2.0 * np.pi))) ** 2
@@ -193,10 +199,10 @@ def _bounded_term(x, mu):
     return u * c + v, mag
 
 
-def _rate_term(x, mu):
+def _rate_term(x, mu, polar=None):
     """Im (1 - i x)^(-mu-1) and its rounding magnitude: the sin(wt)
     kernels."""
-    rho, phi = _log_and_angle(x)
+    rho, phi = _log_and_angle(x) if polar is None else polar
     e, y = (mu + 1.0) * rho, (mu + 1.0) * phi
     r = np.exp(-e)
     sin = np.sin(y)
@@ -255,16 +261,18 @@ def check_terms(name: str, t_max: float, n_points: int) -> None:
             f"budget of {TERM_BUDGET}")
 
 
-def _integral_term(x, mu, rate: bool):
+def _integral_term(x, mu, rate: bool, polar=None):
     """int_1^inf s^p term(x/s, mu) ds, the Euler-Maclaurin integral at
     a_N = 1 (p = -mu, or -mu-1 for the rate), and its rounding magnitude.
     gamma's is (Re (1 - i x)^(1-mu) - 1)/(mu (1-mu)), written without the
     pole at mu = 0 for mu >= 1/2 and without the one at mu = 1 below."""
+    if polar is None:
+        polar = _log_and_angle(x)
     if not rate and mu >= 0.5:
-        f, m = _bounded_term(x, mu - 1.0)
+        f, m = _bounded_term(x, mu - 1.0, polar)
         return f / mu, m / mu
     # Im (1 - i x)^-mu / mu, as in _ramp_term.
-    rho, phi = _log_and_angle(x)
+    rho, phi = polar
     e, y = mu * rho, mu * phi
     s = np.exp(-e) * phi
     sinc = np.sinc(y / np.pi)
@@ -273,7 +281,7 @@ def _integral_term(x, mu, rate: bool):
     im_mag = (1.0 + np.abs(e)) * np.abs(im) + s * np.abs(np.cos(y) - sinc)
     if rate:
         return im, im_mag
-    f, m = _bounded_term(x, mu)
+    f, m = _bounded_term(x, mu, polar)
     return (x * im - f) / (1.0 - mu), (x * im_mag + m) / (1.0 - mu)
 
 
@@ -313,10 +321,12 @@ def _thermal(name: str, ts, p: BathParams, rate: bool):
                  / (n_last - 1.0 - power))
 
     # One column per direct term and per correction: term(t/a_col, mu_col)
-    # weighted in value and in rounding magnitude.  a_k carries two
+    # weighted in value and in rounding magnitude.  The corrections and the
+    # integral share x = t/a_N with k = N, so the log and angle of x are
+    # evaluated on the distinct columns k <= N only.  a_k carries two
     # roundings, which a_k^power amplifies by |power|; (mu+1)_n (beta/a_N)^n
     # adds n more.
-    a_col = np.concatenate([a_k, np.full(n.size, a_n)])
+    col = np.concatenate([k, np.full(n.size, _N_DIRECT)])
     mu_col = np.concatenate([np.full(k.size, mu), mu + n])
     w_val = np.concatenate([weight, factor])
     w_mag = np.concatenate([(1.0 + abs(power)) * weight,
@@ -324,13 +334,18 @@ def _thermal(name: str, ts, p: BathParams, rate: bool):
 
     value = np.empty(ts.size)
     err = np.empty(ts.size)
-    rows = _BLOCK // a_col.size
+    rows = _BLOCK // col.size
     for i in range(0, ts.size, rows):
         t = ts[i:i + rows]
-        f, m = term(t[:, None] / a_col, mu_col)
+        x = t[:, None] / a_k
+        rho, phi = _log_and_angle(x)
+        # take keeps the rows contiguous (x[:, col] would not), which the
+        # row sums below need to round as a direct evaluation does.
+        x_c, rho_c, phi_c = (np.take(q, col, axis=1) for q in (x, rho, phi))
+        f, m = term(x_c, mu_col, (rho_c, phi_c))
         total = np.sum(f * w_val, axis=1, dtype=_SUM_DTYPE)
         mag = np.sum(m * w_mag, axis=1, dtype=_SUM_DTYPE)
-        f, m = _integral_term(t / a_n, mu, rate)
+        f, m = _integral_term(x[:, -1], mu, rate, (rho[:, -1], phi[:, -1]))
         total += integral * f
         # a_N^power (a_N/beta) amplifies a_N's roundings by |power + 1|.
         mag += (1.0 + abs(power + 1.0)) * integral * m
@@ -360,19 +375,6 @@ def _result(name: str, t, ts, value, err, terms: int, tol: float,
     return QuadratureResult(_unwrap(t, value), _unwrap(t, err), True, terms)
 
 
-def gamma(t, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """Decoherence kernel gamma(t); non-negative, gamma(0) = 0."""
-    ts = _times(t)
-    return _result("gamma", t, ts, *_thermal("gamma", ts, p, False), tol)
-
-
-def gamma_rate(t, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """d gamma / dt, by differentiating the series term by term."""
-    ts = _times(t)
-    return _result("gamma_rate", t, ts,
-                   *_thermal("gamma_rate", ts, p, True), tol)
-
-
 # The theta-linear kernels: their series term, and the power of a as an
 # offset from -mu.
 _THETA_LINEAR = {
@@ -382,47 +384,74 @@ _THETA_LINEAR = {
 }
 
 
-class ThetaKernels:
-    """omega_pt, omega1 and omega1_rate of one bath on one time grid, for
-    any theta.
+class Kernels:
+    """gamma, d gamma/dt, omega_pt, omega1 and omega1_rate of one bath on
+    one time grid: each evaluated on first use, at most once per table.
 
-    The kernels are exactly linear in theta, so each is evaluated per unit
-    theta on first use, at most once per table, and every call scales the
-    value by theta and the error bound by |theta| before the tol check: a
-    theta sweep sees identical per-unit values, and each result is the
-    public kernel's, bit for bit.
+    The table keeps each kernel's raw value, bound and series terms, and
+    every call checks tol afresh.  gamma and gamma_rate are read through
+    their own methods; the theta-linear kernels, through table(name,
+    theta, tol), are held per unit theta and each call scales the value by
+    theta and the bound by |theta| before the tol check.  Each result is
+    the public kernel's, bit for bit, however many calls share the table.
     """
 
     def __init__(self, t, p: BathParams):
-        self._t, self._ts, self._p = t, _times(t), p
-        self._unit = {}
+        self.t, self.ts, self.p = t, _times(t), p
+        self._raw = {}
+
+    def _evaluated(self, name: str):
+        if name not in self._raw:
+            if name in _THETA_LINEAR:
+                term, shift = _THETA_LINEAR[name]
+                raw = _single(name, term, shift - self.p.mu, self.ts, self.p)
+            else:
+                raw = _thermal(name, self.ts, self.p, name == "gamma_rate")
+            self._raw[name] = raw
+        return self._raw[name]
+
+    def gamma(self, tol: float = DEFAULT_TOL) -> QuadratureResult:
+        return _result("gamma", self.t, self.ts, *self._evaluated("gamma"),
+                       tol)
+
+    def gamma_rate(self, tol: float = DEFAULT_TOL) -> QuadratureResult:
+        return _result("gamma_rate", self.t, self.ts,
+                       *self._evaluated("gamma_rate"), tol)
 
     def __call__(self, name: str, theta: float,
                  tol: float = DEFAULT_TOL) -> QuadratureResult:
-        if name not in self._unit:
-            term, shift = _THETA_LINEAR[name]
-            self._unit[name] = _single(name, term, shift - self._p.mu,
-                                       self._ts, self._p)
-        return _result(name, self._t, self._ts, *self._unit[name], tol,
+        if name not in _THETA_LINEAR:
+            raise KeyError(f"{name!r} is not a theta-linear kernel")
+        return _result(name, self.t, self.ts, *self._evaluated(name), tol,
                        theta)
+
+
+def gamma(t, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
+    """Decoherence kernel gamma(t); non-negative, gamma(0) = 0."""
+    return Kernels(t, p).gamma(tol)
+
+
+def gamma_rate(t, p: BathParams, tol: float = DEFAULT_TOL) -> QuadratureResult:
+    """d gamma / dt, by differentiating the series term by term."""
+    return Kernels(t, p).gamma_rate(tol)
 
 
 def omega_pt(t, theta: float, p: BathParams,
              tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Unbounded phase kernel Omega(t); sign(theta) for t > 0, linear in theta."""
-    return ThetaKernels(t, p)("omega_pt", theta, tol)
+    return Kernels(t, p)("omega_pt", theta, tol)
 
 
 def omega1(t, theta: float, p: BathParams,
            tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Bounded phase kernel Omega_1(t); linear in theta."""
-    return ThetaKernels(t, p)("omega1", theta, tol)
+    return Kernels(t, p)("omega1", theta, tol)
 
 
 def omega1_rate(t, theta: float, p: BathParams,
                 tol: float = DEFAULT_TOL) -> QuadratureResult:
     """d Omega_1 / dt, linear in theta."""
-    return ThetaKernels(t, p)("omega1_rate", theta, tol)
+    return Kernels(t, p)("omega1_rate", theta, tol)
 
 
 @_in_range

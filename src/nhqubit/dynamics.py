@@ -12,9 +12,10 @@ eigenframe of H, where they evolve under diag(exp(-i E t)).
 evolve() takes a parameter sweep in one bath, as whole-array passes over
 the grid.  gamma(t) (and d gamma/dt for Anti-PT) depends only on the bath
 and the grid, and Omega, Omega_1 and d Omega_1/dt are theta times a
-per-unit-theta kernel of the same, so each is evaluated at most once per
-call (bath.ThetaKernels) and scaled per qubit.  evolve_pt and evolve_apt
-are one-qubit calls of it.
+per-unit-theta kernel of the same, so all are read from one bath.Kernels
+table, evaluated at most once there and scaled per qubit.  The table is
+the call's own unless the caller passes one to share across calls, as the
+presets do.  evolve_pt and evolve_apt are one-qubit calls of it.
 """
 
 from __future__ import annotations
@@ -292,25 +293,31 @@ def _apt_trajectory(p, omega0, b, ts, rho0, g, dg, kernels,
 
 
 def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
-           tol: float = DEFAULT_TOL) -> list[Trajectory]:
+           tol: float = DEFAULT_TOL,
+           kernels: bath.Kernels | None = None) -> list[Trajectory]:
     """Trajectories of a parameter sweep in one bath, in the order given.
 
     initial is the eigenframe state at t = 0 for both classes (|+> by
     default); PT trajectories map it to the physical frame, Anti-PT ones
-    stay in the eigenframe.  gamma is evaluated once per call, d gamma/dt
+    stay in the eigenframe.  The kernels come from one bath.Kernels table,
+    a new one unless kernels is given, which must be for the bath b and
+    the grid times (ValueError otherwise).  gamma is read once, d gamma/dt
     once if any qubit is Anti-PT, and each theta-linear kernel per unit
-    theta once if some qubit's class needs it; each qubit scales those by
-    its theta before the tol check, so a sweep and one call per qubit give
-    the same trajectories bit for bit.
+    theta as some qubit's class needs it; each qubit scales those by its
+    theta before the tol check, so a sweep, one call per qubit and a shared
+    table give the same trajectories bit for bit.
     """
     omegas = [_require_positive_split(p) for p in qubits]
     ts = _validate_times(times)
+    if kernels is None:
+        kernels = bath.Kernels(ts, b)
+    elif kernels.p != b or not np.array_equal(kernels.ts, ts):
+        raise ValueError("the kernel table is for another bath or time grid")
     if initial is None:
         initial = DensityMatrix.plus()
-    g = bath.gamma(ts, b, tol)
-    dg = (bath.gamma_rate(ts, b, tol)
+    g = kernels.gamma(tol)
+    dg = (kernels.gamma_rate(tol)
           if any(p.symmetry is Symmetry.ANTI_PT for p in qubits) else None)
-    kernels = bath.ThetaKernels(ts, b)
     return [_pt_trajectory(p, omega0, ts, initial, g, kernels, tol)
             if p.symmetry is Symmetry.PT
             else _apt_trajectory(p, omega0, b, ts, initial, g, dg, kernels,

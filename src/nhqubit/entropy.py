@@ -37,7 +37,10 @@ def _entropy(p1, p2, c, q: float):
         return np.maximum(-_xlogx(lo) - _xlogx(hi), 0.0)
     if math.isinf(q):
         return np.maximum(-np.log(hi), 0.0)
-    return np.maximum(np.log(hi**q + lo**q) / (1.0 - q), 0.0)
+    # log(hi^q + lo^q) as q log hi + log1p((lo/hi)^q): hi >= 1/2 for a
+    # unit-trace state, so no power underflows to log 0 at large q.
+    return np.maximum((q * np.log(hi) + np.log1p((lo / hi) ** q)) / (1.0 - q),
+                      0.0)
 
 
 def renyi(rho: DensityMatrix, q: float) -> float:

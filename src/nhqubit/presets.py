@@ -4,16 +4,19 @@ A preset is data: labelled qubit cases times plotted quantities, all in
 the caption bath (J0 = 1, beta = 0.5, omega_c = 1, mu = -0.5) on
 linspace(0, 20, 201).  Its one CSV holds a column per quantity and case,
 grouped by quantity, and scenario.emit writes it with its manifest, as
-for a scenario run.  A build evolves its cases in one dynamics.evolve
-call, so gamma(t) and each theta-linear kernel are evaluated once per
-build; the phase-function presets read one bath.ThetaKernels table the
-same way.  Reproduction is
-qualitative (curve shapes, orderings, constants): the published figures
-do not state the exact spectral-density form.
+for a scenario run.  Every build reads its kernels from one
+bath.Kernels table of the caption bath and grid (caption_kernels), made
+on first use and shared by the process, so gamma(t), d gamma/dt and each
+theta-linear kernel are evaluated at most once per process: a build
+evolves its cases in one dynamics.evolve call on that table, and the
+phase-function presets read it directly.  Reproduction is qualitative
+(curve shapes, orderings, constants): the published figures do not state
+the exact spectral-density form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +39,16 @@ APT_BASE = dict(alpha=1.0, theta=0.86)
 
 T_MAX = 20.0
 N_POINTS = 201
+
+
+@functools.cache
+def caption_kernels() -> bath.Kernels:
+    """The kernel table of the caption bath on linspace(0, T_MAX,
+    N_POINTS), shared by every build in the process.  Its grid is
+    read-only, as every build's time column and trajectories share it."""
+    ts = np.linspace(0.0, T_MAX, N_POINTS)
+    ts.flags.writeable = False
+    return bath.Kernels(ts, CAPTION_BATH)
 
 
 def caption_pt(theta: float = 0.86) -> QubitParams:
@@ -75,18 +88,19 @@ class Preset:
     def build(self, tol: float) -> tuple[list[str], list[np.ndarray], float]:
         """(header, columns, max_err): t, then a column per quantity and
         case, grouped by quantity.  The cases are evolved at most once."""
-        ts = np.linspace(0.0, T_MAX, N_POINTS)
+        kernels = caption_kernels()
+        ts = kernels.ts
         qubits = [p for _, p in self.cases]
         trajs = None
         header, cols = ["t"], [ts]
         max_err = 0.0
         for quantity in self.quantities:
             if quantity == "phase_function":
-                kernels = bath.ThetaKernels(ts, CAPTION_BATH)
                 results = [_phase_function(p, ts, kernels, tol)
                            for p in qubits]
             else:
-                trajs = trajs or evolve(qubits, CAPTION_BATH, ts, tol=tol)
+                trajs = trajs or evolve(qubits, CAPTION_BATH, ts, tol=tol,
+                                        kernels=kernels)
                 results = [(_trajectory_column(traj, quantity),
                             traj.max_quad_error) for traj in trajs]
             for (col, err), (label, _) in zip(results, self.cases):
@@ -97,7 +111,7 @@ class Preset:
 
 
 def _phase_function(p: QubitParams, ts: np.ndarray,
-                    kernels: bath.ThetaKernels, tol: float):
+                    kernels: bath.Kernels, tol: float):
     if p.symmetry is Symmetry.PT:
         # The published curves plot the negative of the ramp kernel.
         res = kernels("omega_pt", p.theta, tol)

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
+from nhqubit import bath, presets
 from nhqubit.bath import BathParams
 from nhqubit.dynamics import QubitParams, Symmetry
 from nhqubit.linalg2 import DensityMatrix
@@ -58,3 +59,28 @@ def count_calls(monkeypatch, module, *names) -> dict[str, int]:
     for name in names:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
+
+
+def count_evaluations(monkeypatch) -> dict[str, int]:
+    """Wrap bath._thermal and bath._single so that kernel evaluations are
+    counted by kernel name, whatever table or public call asks for them;
+    returns the live counts."""
+    calls = {}
+
+    def counting(fn):
+        def counted(name, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(name, *args)
+        return counted
+
+    for attr in ("_thermal", "_single"):
+        monkeypatch.setattr(bath, attr, counting(getattr(bath, attr)))
+    return calls
+
+
+@pytest.fixture
+def fresh_caption_kernels():
+    """A preset table that no earlier build filled, and none left behind."""
+    presets.caption_kernels.cache_clear()
+    yield
+    presets.caption_kernels.cache_clear()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CAPTION_BATH
+from conftest import CAPTION_BATH, count_evaluations
 from nhqubit import bath
 from nhqubit.bath import BathParams
 from nhqubit.errors import DomainError, QuadratureDivergence
@@ -132,25 +132,64 @@ class TestPhaseKernels:
             assert got == pytest.approx(fd, abs=1e-6)
 
 
-class TestThetaKernels:
+class TestKernels:
     THETAS = (0.0, 0.3, -0.86, 2.5)
     PUBLIC = {"omega_pt": bath.omega_pt, "omega1": bath.omega1,
               "omega1_rate": bath.omega1_rate}
+    THERMAL = {"gamma": bath.gamma, "gamma_rate": bath.gamma_rate}
+
+    @staticmethod
+    def _assert_same(got, ref):
+        assert np.array_equal(got.value, ref.value)
+        assert np.array_equal(got.abs_error, ref.abs_error)
+        assert got.evaluations == ref.evaluations
 
     def test_table_matches_public_kernels_bitwise(self, caption_bath):
         ts = np.linspace(0.0, 20.0, 201)
-        table = bath.ThetaKernels(ts, caption_bath)
+        table = bath.Kernels(ts, caption_bath)
         for name, public in self.PUBLIC.items():
             for theta in self.THETAS:
-                got, ref = table(name, theta), public(ts, theta, caption_bath)
-                assert np.array_equal(got.value, ref.value), (name, theta)
-                assert np.array_equal(got.abs_error, ref.abs_error)
-                assert got.evaluations == ref.evaluations
+                self._assert_same(table(name, theta),
+                                  public(ts, theta, caption_bath))
+        for name, public in self.THERMAL.items():
+            for _ in range(2):
+                self._assert_same(getattr(table, name)(),
+                                  public(ts, caption_bath))
+
+    def test_each_kernel_evaluated_once(self, caption_bath, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        table = bath.Kernels(np.linspace(0.0, 20.0, 201), caption_bath)
+        for _ in range(3):
+            table.gamma(), table.gamma_rate()
+            for name in self.PUBLIC:
+                table(name, 0.86)
+        assert calls == dict.fromkeys([*self.THERMAL, *self.PUBLIC], 1)
+
+    def test_gamma_is_not_theta_scaled(self, caption_bath):
+        table = bath.Kernels(np.linspace(0.0, 20.0, 11), caption_bath)
+        for name in self.THERMAL:
+            with pytest.raises(KeyError):
+                table(name, 2.0)
+
+    def test_gamma_tol_checked_per_read(self, caption_bath):
+        # Each read checks its own tol against the one evaluation.
+        ts = np.linspace(0.0, 20.0, 201)
+        table = bath.Kernels(ts, caption_bath)
+        for name, public in self.THERMAL.items():
+            read = getattr(table, name)
+            tol = 0.5 * float(read(np.inf).abs_error.max())
+            with pytest.raises(QuadratureDivergence) as got:
+                read(tol)
+            with pytest.raises(QuadratureDivergence) as ref:
+                public(ts, caption_bath, tol)
+            assert str(got.value) == str(ref.value)
+            assert str(got.value).startswith(f"{name} at t=")
+            self._assert_same(read(), public(ts, caption_bath))
 
     def test_tol_checked_after_theta_scaling(self, caption_bath):
         # A tol the unit-theta bound meets but 2.5 times it does not.
         ts = np.linspace(0.0, 20.0, 201)
-        table = bath.ThetaKernels(ts, caption_bath)
+        table = bath.Kernels(ts, caption_bath)
         for name, public in self.PUBLIC.items():
             unit = float(table(name, 1.0, np.inf).abs_error.max())
             tol = 1.5 * unit

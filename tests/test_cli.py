@@ -400,6 +400,26 @@ class TestExitCodes:
         assert cli.main(["compare", str(pt_config), str(other)]) == 2
 
 
+def test_large_renyi_order_writes_finite_entropies(tmp_path):
+    """An order past the underflow of lo^q + hi^q writes finite entropies
+    and no warning."""
+    cfg = tmp_path / "large_order.cfg"
+    cfg.write_text(PT_CONFIG.replace(
+        "outputs = decoherence, entropy, qsl",
+        "outputs = entropy\nentropy.orders = 1, 2000"))
+    code = ("import sys; from nhqubit.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, "run", str(cfg),
+                          "--out", str(tmp_path / "o")], cwd=src,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0
+    assert out.stderr == ""
+    data = np.genfromtxt(tmp_path / "o" / "entropy.csv", delimiter=",",
+                         skip_header=1)
+    assert data.shape == (26, 3) and np.isfinite(data).all()
+
+
 def test_import_loads_no_scipy():
     """The package and its CLI import numpy only: scipy.special alone took
     about two thirds of every process's start-up."""

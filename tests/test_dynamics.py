@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CAPTION_APT, CAPTION_PT, count_calls
+from conftest import CAPTION_APT, CAPTION_PT, count_evaluations
 from nhqubit import bath
+from nhqubit.bath import BathParams
 from nhqubit.dynamics import (
     QubitParams,
     Symmetry,
@@ -193,15 +194,44 @@ class TestEvolveSweep:
         singles = [evolve_pt(CAPTION_PT, caption_bath, ts),
                    evolve_apt(CAPTION_APT, caption_bath, ts),
                    evolve_pt(pt2, caption_bath, ts)]
-        calls = count_calls(monkeypatch, bath, "gamma", "gamma_rate")
+        calls = count_evaluations(monkeypatch)
         sweep = evolve([CAPTION_PT, CAPTION_APT, pt2], caption_bath, ts)
-        assert calls == {"gamma": 1, "gamma_rate": 1}
+        assert calls == {"gamma": 1, "gamma_rate": 1, "omega_pt": 1,
+                         "omega1": 1, "omega1_rate": 1}
         for one, many in zip(singles, sweep, strict=True):
             assert many.symmetry is one.symmetry
             assert many.max_quad_error == one.max_quad_error
             for field in self.FIELDS:
                 a, b = getattr(one, field), getattr(many, field)
                 assert (a is None and b is None) or np.array_equal(a, b)
+
+    def test_shared_table_matches_own_table_bitwise(self, caption_bath):
+        ts = np.linspace(0.0, 20.0, 201)
+        qubits = [CAPTION_PT, CAPTION_APT]
+        table = bath.Kernels(ts, caption_bath)
+        shared = [evolve(qubits, caption_bath, ts, kernels=table)
+                  for _ in range(2)]
+        for many in shared:
+            for one, traj in zip(evolve(qubits, caption_bath, ts), many,
+                                 strict=True):
+                assert traj.max_quad_error == one.max_quad_error
+                for field in self.FIELDS:
+                    a, b = getattr(one, field), getattr(traj, field)
+                    assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("other", [
+        pytest.param(dict(beta=0.6), id="bath"),
+        pytest.param(dict(ts=np.linspace(0.0, 20.0, 202)), id="grid-size"),
+        pytest.param(dict(ts=np.linspace(0.0, 21.0, 201)), id="grid-values"),
+    ])
+    def test_table_for_another_bath_or_grid_rejected(self, caption_bath,
+                                                     other):
+        ts = np.linspace(0.0, 20.0, 201)
+        table_bath = BathParams(j0=1.0, omega_c=1.0, mu=-0.5,
+                                beta=other.get("beta", 0.5))
+        table = bath.Kernels(other.get("ts", ts), table_bath)
+        with pytest.raises(ValueError, match="another bath or time grid"):
+            evolve([CAPTION_PT], caption_bath, ts, kernels=table)
 
     def test_errors_in_order(self, caption_bath):
         exceptional = QubitParams(alpha=1.0, theta=5.0, xi=3.0, delta=4.0,
@@ -213,25 +243,17 @@ class TestEvolveSweep:
 
 
 class TestThetaKernelTable:
-    def test_once_per_preset_build(self, tmp_path, monkeypatch):
-        """Each build evaluates each unit-theta kernel its cases need once,
-        whatever the number of qubits: per pass of the 13 presets, 7
-        omega_pt, 7 omega1 and 6 omega1_rate (43, 25 and 21 when each
-        qubit evaluated its own)."""
+    def test_once_per_preset_build(self, tmp_path, monkeypatch,
+                                   fresh_caption_kernels):
+        """The presets share one table, so a pass of all 13 from a fresh
+        one evaluates each kernel once (gamma 11, d gamma/dt 6, omega_pt 7,
+        omega1 7 and omega1_rate 6 times with a table per build)."""
         from nhqubit.presets import PRESETS, run_preset
-        calls = {}
-        single = bath._single
-
-        def counted(name, *args):
-            calls[name] = calls.get(name, 0) + 1
-            return single(name, *args)
-
-        monkeypatch.setattr(bath, "_single", counted)
+        calls = count_evaluations(monkeypatch)
         for name in PRESETS:
             run_preset(name, tmp_path / name)
-        assert set(calls) == {"omega_pt", "omega1", "omega1_rate"}
-        assert calls["omega_pt"] <= 7 and calls["omega1"] <= 7
-        assert calls["omega1_rate"] <= 6
+        assert calls == {"gamma": 1, "gamma_rate": 1, "omega_pt": 1,
+                         "omega1": 1, "omega1_rate": 1}
 
 
 class TestPTAssembly:

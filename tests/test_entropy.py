@@ -65,6 +65,34 @@ class TestRenyi:
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+class TestRenyiLargeOrder:
+    """hi^q + lo^q underflows to 0 from q of about 1075 at hi = 1/2; the
+    entropies stay finite and fall towards S_inf."""
+
+    LARGE = (1100.0, 5000.0, 1e6)
+
+    @pytest.mark.parametrize("q", LARGE)
+    def test_maximally_mixed_is_log_2(self, q):
+        rho = DensityMatrix(p1=0.5, p2=0.5, c=0.0)
+        assert entropy.renyi(rho, q) == pytest.approx(math.log(2.0),
+                                                      abs=1e-15)
+
+    def test_finite_decreasing_towards_min_entropy(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            rho = random_state(rng)
+            s_inf = entropy.renyi_inf(rho)
+            previous = entropy.renyi(rho, 2.0)
+            for q in self.LARGE:
+                s_q = entropy.renyi(rho, q)
+                assert math.isfinite(s_q)
+                assert s_q <= previous + 1e-12
+                # S_q - S_inf = (log hi + log1p((lo/hi)^q))/(1 - q), and
+                # both logs lie in [-log 2, log 2].
+                assert abs(s_q - s_inf) <= math.log(2.0) / (q - 1.0) + 1e-12
+                previous = s_q
+
+
 class TestRenyi0:
     def test_rank_counting(self):
         assert entropy.renyi0(DensityMatrix.plus()) == 0.0

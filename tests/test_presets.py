@@ -1,5 +1,5 @@
-"""Figure presets: the bath is evaluated once per build, each parameter set
-is evolved once, and the written CSVs stay on the committed snapshot."""
+"""Figure presets: the bath is evaluated once per process, each parameter
+set is evolved once, and the written CSVs stay on the committed snapshot."""
 
 import json
 from pathlib import Path
@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls
-from nhqubit import bath, dynamics
+from conftest import count_calls, count_evaluations
+from nhqubit import dynamics, presets
+from nhqubit.bath import DEFAULT_TOL
 from nhqubit.presets import APT_PAIRS, PRESETS, PT_THETAS, run_preset
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "nhbench" / "reference"
@@ -29,14 +30,49 @@ def _assemblies(name: str) -> dict[str, int]:
     return {"_pt_trajectory": 0, "_apt_trajectory": len(APT_PAIRS)}
 
 
+def _evaluations(name: str) -> dict[str, int]:
+    """Kernels a preset evaluates in a fresh table, once each: gamma for
+    any trajectory, d gamma/dt and omega1_rate for Anti-PT ones, and the
+    phase kernel of each class it has."""
+    trajectories = _assemblies(name)
+    apt_trajectories = trajectories["_apt_trajectory"] > 0
+    needed = {
+        "gamma": not name.endswith("_phase"),
+        "gamma_rate": apt_trajectories,
+        "omega_pt": (trajectories["_pt_trajectory"] > 0
+                     or name == "fig_pt_phase"),
+        "omega1": apt_trajectories or name == "fig_apt_phase",
+        "omega1_rate": apt_trajectories,
+    }
+    return {kernel: 1 for kernel, need in needed.items() if need}
+
+
 @pytest.mark.parametrize("name", PRESETS)
-def test_build_evaluates_the_bath_once(name, tmp_path, monkeypatch):
-    kernels = count_calls(monkeypatch, bath, "gamma", "gamma_rate")
+def test_build_evaluates_the_bath_once(name, tmp_path, monkeypatch,
+                                       fresh_caption_kernels):
+    kernels = count_evaluations(monkeypatch)
     evolves = count_calls(monkeypatch, dynamics, "evolve_pt", "evolve_apt",
                           "_pt_trajectory", "_apt_trajectory")
     run_preset(name, tmp_path)
-    assert kernels["gamma"] <= 1 and kernels["gamma_rate"] <= 1
+    assert kernels == _evaluations(name)
     assert evolves == {"evolve_pt": 0, "evolve_apt": 0, **_assemblies(name)}
+    # A second build reads the filled table.
+    run_preset(name, tmp_path / "again")
+    assert kernels == _evaluations(name)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_build_is_the_same_from_a_fresh_or_filled_table(
+        name, fresh_caption_kernels):
+    for other in PRESETS:
+        if other != name:
+            PRESETS[other].build(DEFAULT_TOL)
+    filled = PRESETS[name].build(DEFAULT_TOL)
+    presets.caption_kernels.cache_clear()
+    fresh = PRESETS[name].build(DEFAULT_TOL)
+    assert filled[0] == fresh[0] and filled[2] == fresh[2]
+    for col, again in zip(filled[1], fresh[1], strict=True):
+        assert np.array_equal(col, again, equal_nan=True)
 
 
 def _read(path: Path) -> tuple[list[str], np.ndarray]:
