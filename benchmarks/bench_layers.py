@@ -17,6 +17,11 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - one pass of all 13 preset builds from a cold kernel table, as a fresh
   process pays it
 - scenario.write_csv on a 201 x 8 table
+- qsl.qsl_series plus qsl.tau_qsl at 10 horizons, on the caption PT and
+  Anti-PT qubits at n = 301 (the analysis workload's grid), each call on
+  a fresh dataclasses.replace copy of the trajectory, so no call finds
+  speed-limit series that an earlier one computed
+- entropy.entropy_series over 12 orders on both of those trajectories
 
 Each LABEL=SRC argument imports the nhqubit package found in SRC, so one
 copy of this script measures any checkouts side by side.  Each quantity
@@ -32,8 +37,10 @@ numpy and the standard library only; pytest does not collect this file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -102,14 +109,15 @@ def load(src: Path):
     sys.path.insert(0, str(src))
     try:
         return tuple(importlib.import_module(f"nhqubit.{m}")
-                     for m in ("bath", "dynamics", "scenario", "presets"))
+                     for m in ("bath", "dynamics", "scenario", "presets",
+                               "qsl", "entropy"))
     finally:
         sys.path.remove(str(src))
 
 
 def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     """({name: fn}, notes) of the quantities, for the package in src."""
-    bath, dynamics, scenario, presets = load(src)
+    bath, dynamics, scenario, presets, qsl, entropy = load(src)
     b = presets.CAPTION_BATH
     calls, notes = {}, {}
     for n in (31, 201):
@@ -153,6 +161,22 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     columns = [ts] + [np.sin((j + 1) * ts) for j in range(7)]
     calls["write_csv_201x8"] = (
         lambda: scenario.write_csv(csv_path, header, columns))
+
+    grid = np.linspace(0.0, 20.0, 301)
+    horizons = grid[30::30]
+    pair = (dynamics.evolve_pt(qubit, b, grid),
+            dynamics.evolve_apt(presets.caption_apt(), b, grid))
+    for label, traj in zip(("pt", "apt"), pair):
+        def speed_limits(traj=traj):
+            fresh = dataclasses.replace(traj)
+            qsl.qsl_series(fresh)
+            for h in horizons:
+                qsl.tau_qsl(fresh, h)
+        calls[f"qsl_tau10_{label}_301"] = speed_limits
+    orders = (0.0, 0.5, 0.7, 1.0, 1.4, 2.0, 2.5, 3.0, 3.6, 4.2, 5.3,
+              math.inf)
+    calls["entropy_12_orders_301"] = lambda: [
+        entropy.entropy_series(traj, orders) for traj in pair]
     return calls, notes
 
 

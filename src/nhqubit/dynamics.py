@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +87,12 @@ class Trajectory:
     phase[i] is the coherence phase accumulated since t = 0 (the initial
     coherence's own argument is not included).  For Anti-PT trajectories
     lnorm_analytic holds |d rho/dt|_op from the differentiated closed form.
+
+    The arrays are read-only views, so what is derived from them cannot go
+    stale: nhqubit.qsl computes the Bures angles from state 0 and the
+    Liouvillian norms once per trajectory, on first use, and keeps them in
+    a private record that every speed-limit call reads.
+    dataclasses.replace starts a fresh record.
     """
 
     symmetry: Symmetry
@@ -100,8 +106,17 @@ class Trajectory:
     max_quad_error: float
     rho0_diag: DensityMatrix | None = None
     lnorm_analytic: np.ndarray | None = None
+    # Series name -> read-only array, filled by nhqubit.qsl.
+    _qsl: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
+        for name in _ARRAYS:
+            value = getattr(self, name)
+            if value is not None:
+                view = np.asarray(value).view()
+                view.flags.writeable = False
+                setattr(self, name, view)
         check_physical(self.p1, self.p2, self.c)
 
     def __len__(self) -> int:
@@ -128,6 +143,10 @@ class Trajectory:
     def dephasing_states(self) -> list[DensityMatrix]:
         """The dephasing-frame states as DensityMatrix objects."""
         return _states(*self.dephasing_frame())
+
+
+_ARRAYS = ("times", "p1", "p2", "c", "decoherence", "phase",
+           "lnorm_analytic")
 
 
 def _states(p1, p2, c) -> list[DensityMatrix]:

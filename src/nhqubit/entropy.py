@@ -6,6 +6,8 @@ The closed-form Von Neumann entropy in terms of the decoherence function
 D(t) covers the equal-population dephasing trajectories exactly.
 Each order is one numpy expression over eigenvalue arrays, evaluated once
 per trajectory by entropy_series and on one state by renyi and the rest.
+entropy_series computes the spectrum once per call and shares it across
+the orders.
 """
 
 from __future__ import annotations
@@ -29,7 +31,11 @@ def _xlogx(x):
 
 def _entropy(p1, p2, c, q: float):
     """S_q, q >= 0, of the states (p1, p2, c), elementwise."""
-    lo, hi = eigenvalue_pair(p1, p2, c)
+    return _spectral_entropy(*eigenvalue_pair(p1, p2, c), q)
+
+
+def _spectral_entropy(lo, hi, q: float):
+    """S_q, q >= 0, of the states with eigenvalues lo <= hi, elementwise."""
     if q == 0:
         rank = (hi > RANK_TOL).astype(int) + (lo > RANK_TOL)
         return np.log(np.maximum(rank, 1))
@@ -92,9 +98,9 @@ def entropy_series(traj: Trajectory, orders,
     """
     frame = (traj.dephasing_frame() if dephasing
              else (traj.p1, traj.p2, traj.c))
-    out: dict[float, np.ndarray] = {}
+    orders = list(orders)
     for q in orders:
         if not q >= 0:
             raise DomainError(f"Renyi order must be non-negative, got {q}")
-        out[q] = _entropy(*frame, q)
-    return out
+    lo, hi = eigenvalue_pair(*frame)
+    return {q: _spectral_entropy(lo, hi, q) for q in orders}

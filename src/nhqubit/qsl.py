@@ -4,7 +4,13 @@ V_QSL(t) = |L(rho(t))|_op / (2 sin A cos A) with A the Bures angle between
 rho(0) and rho(t); tau_QSL(tau) = sin^2 A(tau) / time-average of |L|_op.
 V_QSL is genuinely singular at A in {0, pi/2}; those points are reported
 as errors (or NaN in series form), never clamped.  Angles and norms are
-computed over the whole grid from the trajectory's (p1, p2, c) arrays.
+computed over the whole grid from the trajectory's (p1, p2, c) arrays,
+once per trajectory: the Bures angles from state 0 and the Liouvillian
+norms (the stencil, or Anti-PT's lnorm_analytic) are each evaluated on
+first use and kept, read-only, in the trajectory's private record.
+qsl_series, tau_qsl at every horizon, v_qsl and liouvillian_norm read
+them from there; liouvillian_norm(force_numeric=True) alone computes the
+stencil afresh, and never reads or writes the record.
 """
 
 from __future__ import annotations
@@ -75,13 +81,38 @@ def _norms(traj: Trajectory, force_numeric: bool = False) -> np.ndarray:
         0.5 * (dp1 - dp2), np.hypot(dc.real, dc.imag))
 
 
-def liouvillian_norm(traj: Trajectory, index: int,
-                     force_numeric: bool = False) -> float:
-    """|d rho/dt|_op at grid point `index` (see _norms)."""
+def _recorded(traj: Trajectory, name: str, compute) -> np.ndarray:
+    """The series `name` of the trajectory's record, computed by
+    compute(traj) and made read-only on first use."""
+    series = traj._qsl.get(name)
+    if series is None:
+        series = compute(traj)
+        series.flags.writeable = False
+        traj._qsl[name] = series
+    return series
+
+
+def _start_angles(traj: Trajectory) -> np.ndarray:
+    return _recorded(traj, "angles", _angles_from_start)
+
+
+def _grid_norms(traj: Trajectory) -> np.ndarray:
+    return _recorded(traj, "norms", _norms)
+
+
+def _check_index(traj: Trajectory, index: int) -> None:
     n = len(traj)
     if not 0 <= index < n:
         raise IndexError(f"index {index} outside grid of length {n}")
-    return float(_norms(traj, force_numeric)[index])
+
+
+def liouvillian_norm(traj: Trajectory, index: int,
+                     force_numeric: bool = False) -> float:
+    """|d rho/dt|_op at grid point `index` (see _norms)."""
+    _check_index(traj, index)
+    if force_numeric:
+        return float(_norms(traj, force_numeric=True)[index])
+    return float(_grid_norms(traj)[index])
 
 
 def _singular(angle):
@@ -97,7 +128,8 @@ def _velocity(norm, angle):
 
 def v_qsl(traj: Trajectory, index: int) -> float:
     """Speed-limit velocity at a grid point; singular at angle 0 or pi/2."""
-    angle = float(_angles_from_start(traj)[index])
+    _check_index(traj, index)
+    angle = float(_start_angles(traj)[index])
     if _singular(angle):
         raise AngleSingularity(
             f"Bures angle {angle:.3e} at t={traj.times[index]} makes "
@@ -122,14 +154,15 @@ def _tau(traj: Trajectory, angles, norms, horizon: float) -> float:
 
 def tau_qsl(traj: Trajectory, horizon: float) -> float:
     """Speed-limit time over [0, horizon]; horizon must be a grid point."""
-    return _tau(traj, _angles_from_start(traj), _norms(traj), horizon)
+    return _tau(traj, _start_angles(traj), _grid_norms(traj), horizon)
 
 
 def qsl_series(traj: Trajectory, horizon: float | None = None) -> QslSeries:
     """Per-time angle/norm/velocity plus tau_QSL at `horizon` (grid end by
-    default).  Velocity is NaN wherever the angle singularity applies."""
-    angles = _angles_from_start(traj)
-    norms = _norms(traj)
+    default).  Velocity is NaN wherever the angle singularity applies.  The
+    angle and norm arrays are the trajectory's read-only record."""
+    angles = _start_angles(traj)
+    norms = _grid_norms(traj)
     return QslSeries(
         times=traj.times,
         bures_angle=angles,

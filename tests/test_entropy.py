@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import CAPTION_APT, random_state
+from conftest import CAPTION_APT, CAPTION_PT, count_calls, random_state
 from nhqubit import entropy
-from nhqubit.dynamics import evolve_apt
+from nhqubit.dynamics import evolve, evolve_apt
 from nhqubit.errors import DomainError
 from nhqubit.linalg2 import DensityMatrix
 
@@ -171,3 +171,31 @@ class TestSeries:
         assert np.all(np.diff(table[1]) > 0)
         assert table[0][0] == 0.0
         assert np.all(table[0][1:] == math.log(2.0))
+
+    @pytest.mark.parametrize("dephasing", [True, False])
+    def test_one_spectrum_per_call(self, caption_bath, monkeypatch,
+                                   dephasing):
+        orders = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 5.5, 6.0,
+                  math.inf]
+        trajs = evolve([CAPTION_PT, CAPTION_APT], caption_bath,
+                       np.linspace(0.0, 20.0, 301))
+        expected = [{q: entropy._entropy(*(traj.dephasing_frame()
+                                           if dephasing else
+                                           (traj.p1, traj.p2, traj.c)), q)
+                     for q in orders} for traj in trajs]
+        calls = count_calls(monkeypatch, entropy, "eigenvalue_pair")
+        for traj, want in zip(trajs, expected):
+            table = entropy.entropy_series(traj, iter(orders), dephasing)
+            assert list(table) == orders
+            for q in orders:
+                assert np.array_equal(table[q], want[q])
+        assert calls == {"eigenvalue_pair": 2}
+
+    def test_bad_order_raises_before_the_spectrum(self, caption_bath,
+                                                  monkeypatch):
+        traj = evolve_apt(CAPTION_APT, caption_bath,
+                          np.linspace(0.0, 5.0, 21))
+        calls = count_calls(monkeypatch, entropy, "eigenvalue_pair")
+        with pytest.raises(DomainError, match="non-negative, got -1"):
+            entropy.entropy_series(traj, [0.0, 1.0, -1.0])
+        assert calls == {"eigenvalue_pair": 0}

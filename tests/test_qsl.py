@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import CAPTION_APT, CAPTION_PT
+from conftest import CAPTION_APT, CAPTION_PT, count_calls
 from nhqubit import bath, qsl
-from nhqubit.dynamics import Symmetry, Trajectory, evolve_apt, evolve_pt
+from nhqubit.dynamics import (Symmetry, Trajectory, evolve, evolve_apt,
+                              evolve_pt)
 from nhqubit.errors import AngleSingularity, GridTooCoarse
 from nhqubit.linalg2 import DensityMatrix
 
@@ -75,12 +77,26 @@ class TestLiouvillianNorm:
         with pytest.raises(GridTooCoarse):
             qsl.liouvillian_norm(traj, 0)
 
-    def test_index_bounds(self, apt_traj):
-        with pytest.raises(IndexError):
-            qsl.liouvillian_norm(apt_traj, len(apt_traj))
+    def test_index_bounds(self, pt_traj, apt_traj):
+        for traj in (pt_traj, apt_traj):
+            n = len(traj)
+            for index in (n, -n):
+                with pytest.raises(IndexError, match=f"index {index} outside "
+                                   f"grid of length {n}"):
+                    qsl.liouvillian_norm(traj, index)
 
 
 class TestVQsl:
+    def test_index_bounds(self, pt_traj, apt_traj):
+        # -n would wrap to t = 0 and n is past the grid's end: both are
+        # rejected before the angle is read, as liouvillian_norm does.
+        for traj in (pt_traj, apt_traj):
+            n = len(traj)
+            for index in (n, -n):
+                with pytest.raises(IndexError, match=f"index {index} outside "
+                                   f"grid of length {n}"):
+                    qsl.v_qsl(traj, index)
+
     def test_singular_at_t0(self, apt_traj):
         with pytest.raises(AngleSingularity):
             qsl.v_qsl(apt_traj, 0)
@@ -154,3 +170,80 @@ class TestSeries:
         series = qsl.qsl_series(pt_traj)
         finite = np.isfinite(series.v_qsl)
         assert finite[1:20].all()
+
+
+CASES = {"pt": CAPTION_PT, "apt": CAPTION_APT}
+GRID = np.linspace(0.0, 20.0, 301)
+HORIZONS = GRID[[3, 30, 57, 100, 150, 151, 200, 250, 299, 300]]
+
+
+def _all_calls(traj):
+    """Every speed-limit result the record feeds, in one tuple."""
+    series = qsl.qsl_series(traj)
+    return (series.bures_angle, series.liouvillian_norm, series.v_qsl,
+            series.tau_qsl, [qsl.tau_qsl(traj, h) for h in HORIZONS],
+            [qsl.v_qsl(traj, i) for i in (1, 150, 300)],
+            [qsl.liouvillian_norm(traj, i) for i in (0, 150, 300)])
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+class TestRecord:
+    """Angles and norms are computed once per trajectory and shared."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_one_evaluation_per_trajectory(self, caption_bath, monkeypatch,
+                                           case):
+        traj = evolve([CASES[case]], caption_bath, GRID)[0]
+        calls = count_calls(monkeypatch, qsl, "_angles", "_norms")
+        qsl.qsl_series(traj)
+        for h in HORIZONS:
+            qsl.tau_qsl(traj, h)
+        qsl.v_qsl(traj, 150)
+        qsl.liouvillian_norm(traj, 150)
+        assert calls == {"_angles": 1, "_norms": 1}
+        # A copy made by dataclasses.replace starts a fresh record.
+        copy = dataclasses.replace(traj)
+        qsl.tau_qsl(copy, HORIZONS[-1])
+        qsl.v_qsl(copy, 150)
+        assert calls == {"_angles": 2, "_norms": 2}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reuse_matches_fresh_trajectory_bitwise(self, caption_bath, case):
+        reused = evolve([CASES[case]], caption_bath, GRID)[0]
+        qsl.liouvillian_norm(reused, 7)  # fill the norms before the angles
+        first = _all_calls(reused)
+        again = _all_calls(reused)
+        fresh = _all_calls(evolve([CASES[case]], caption_bath, GRID)[0])
+        _assert_bitwise(first, fresh)
+        _assert_bitwise(again, fresh)
+
+    def test_force_numeric_bypasses_the_record(self, caption_bath,
+                                               monkeypatch):
+        traj = evolve_apt(CAPTION_APT, caption_bath, GRID)
+        qsl.qsl_series(traj)
+        calls = count_calls(monkeypatch, qsl, "_norms")
+        stencil = qsl._norms(dataclasses.replace(traj, lnorm_analytic=None))
+        for i in (0, 150, 300):
+            numeric = qsl.liouvillian_norm(traj, i, force_numeric=True)
+            assert numeric == stencil[i]
+            assert numeric != traj.lnorm_analytic[i]
+            assert qsl.liouvillian_norm(traj, i) == traj.lnorm_analytic[i]
+        assert calls == {"_norms": 4}  # the stencil above, then one per call
+        assert qsl.qsl_series(traj).liouvillian_norm is traj.lnorm_analytic
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_arrays_are_read_only(self, caption_bath, case):
+        grid = GRID.copy()
+        traj = evolve([CASES[case]], caption_bath, grid)[0]
+        series = qsl.qsl_series(traj)
+        for array in (traj.times, traj.p1, traj.p2, traj.c,
+                      traj.decoherence, traj.phase, series.bures_angle,
+                      series.liouvillian_norm):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        # The views leave the caller's own grid writable.
+        grid[0] = 0.0
