@@ -13,9 +13,14 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - one build each of the presets fig_pt_decoherence and fig_apt_qsl; in a
   checkout whose presets share one kernel table (presets.caption_kernels)
   every timed build finds it filled, as all builds but the first of a
-  process do
+  process do, and where they share trajectories too, finds its cases
+  evolved, so the row is then the column extraction alone
 - one pass of all 13 preset builds from a cold kernel table, as a fresh
-  process pays it
+  process pays it; in a checkout whose presets share their trajectories
+  through the table (presets.caption_trajectory), the pass evolves each
+  caption qubit once
+- presets.run_preset for all 13 presets from a cold kernel table, into a
+  temporary directory: the builds plus the CSV and manifest writing
 - scenario.write_csv on a 201 x 8 table
 - qsl.qsl_series plus qsl.tau_qsl at 10 horizons, on the caption PT and
   Anti-PT qubits at n = 301 (the analysis workload's grid), each call on
@@ -156,6 +161,13 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
             preset.build(bath.DEFAULT_TOL)
 
     calls["presets_pass_13"] = presets_pass
+
+    def presets_run():
+        cold()
+        for name in presets.PRESETS:
+            presets.run_preset(name, csv_path.with_suffix("") / name)
+
+    calls["presets_run_13"] = presets_run
 
     header = ["t"] + [f"col{j}" for j in range(7)]
     columns = [ts] + [np.sin((j + 1) * ts) for j in range(7)]

@@ -77,7 +77,7 @@ class SpectralSplit:
     eigenvalues: tuple[complex, complex]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Time grid with per-time states, damping and accumulated phase.
 
@@ -88,11 +88,13 @@ class Trajectory:
     coherence's own argument is not included).  For Anti-PT trajectories
     lnorm_analytic holds |d rho/dt|_op from the differentiated closed form.
 
-    The arrays are read-only views, so what is derived from them cannot go
-    stale: nhqubit.qsl computes the Bures angles from state 0 and the
-    Liouvillian norms once per trajectory, on first use, and keeps them in
-    a private record that every speed-limit call reads.
-    dataclasses.replace starts a fresh record.
+    The trajectory is frozen and its arrays are read-only views, so what
+    is derived from them cannot go stale and a trajectory can be shared
+    (the presets share theirs across builds): nhqubit.qsl computes the
+    Bures angles from state 0 and the Liouvillian norms once per
+    trajectory, on first use, and keeps them in a private record that
+    every speed-limit call reads.  dataclasses.replace starts a fresh
+    record.
     """
 
     symmetry: Symmetry
@@ -116,7 +118,7 @@ class Trajectory:
             if value is not None:
                 view = np.asarray(value).view()
                 view.flags.writeable = False
-                setattr(self, name, view)
+                object.__setattr__(self, name, view)
         check_physical(self.p1, self.p2, self.c)
 
     def __len__(self) -> int:
@@ -324,7 +326,10 @@ def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
     once if any qubit is Anti-PT, and each theta-linear kernel per unit
     theta as some qubit's class needs it; each qubit scales those by its
     theta before the tol check, so a sweep, one call per qubit and a shared
-    table give the same trajectories bit for bit.
+    table give the same trajectories bit for bit: each qubit's trajectory
+    depends on the qubit, the bath, the grid, initial and tol alone, never
+    on the other qubits of the call.  presets.caption_trajectory relies on
+    that to evolve each caption qubit once, alone, and share it.
     """
     omegas = [_require_positive_split(p) for p in qubits]
     ts = _validate_times(times)

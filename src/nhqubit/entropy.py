@@ -6,6 +6,11 @@ The closed-form Von Neumann entropy in terms of the decoherence function
 D(t) covers the equal-population dephasing trajectories exactly.
 Each order is one numpy expression over eigenvalue arrays, evaluated once
 per trajectory by entropy_series and on one state by renyi and the rest.
+Orders with 0 < |q - 1| < NEAR_ONE take S_q = -log1p(sum l expm1(eps
+log l)) / eps with eps = q - 1 over the renormalised eigenvalues, which
+keeps its digits as q tends to 1; the other orders take
+(q log l_max + log1p((l_min/l_max)^q)) / (1 - q), which divides a
+numerator of size |1 - q| rounded to absolute precision by 1 - q.
 entropy_series computes the spectrum once per call and shares it across
 the orders.
 """
@@ -22,6 +27,11 @@ from .linalg2 import DensityMatrix, eigenvalue_pair
 
 # Eigenvalues above this count toward the rank in S_0.
 RANK_TOL = 1e-12
+
+# Orders with 0 < |q - 1| < NEAR_ONE take the expm1 form.  At large q that
+# form's sum tends to -1, where log1p loses it, so the band stays narrow;
+# 0.5 and 2 (scenario and preset orders) stay on the general form.
+NEAR_ONE = 0.5
 
 
 def _xlogx(x):
@@ -43,6 +53,16 @@ def _spectral_entropy(lo, hi, q: float):
         return np.maximum(-_xlogx(lo) - _xlogx(hi), 0.0)
     if math.isinf(q):
         return np.maximum(-np.log(hi), 0.0)
+    if abs(q - 1.0) < NEAR_ONE:
+        # sum l^q = 1 + sum l expm1(eps log l) once lo + hi = 1, and then
+        # log hi = log1p(-lo) keeps the digits that hi near 1 rounds away.
+        eps = q - 1.0
+        total = lo + hi
+        lo, hi = lo / total, hi / total
+        log_lo = np.log(np.where(lo > 0.0, lo, 1.0))  # the lo = 0 term is 0
+        return np.maximum(-np.log1p(hi * np.expm1(eps * np.log1p(-lo))
+                                    + lo * np.expm1(eps * log_lo)) / eps,
+                          0.0)
     # log(hi^q + lo^q) as q log hi + log1p((lo/hi)^q): hi >= 1/2 for a
     # unit-trace state, so no power underflows to log 0 at large q.
     return np.maximum((q * np.log(hi) + np.log1p((lo / hi) ** q)) / (1.0 - q),

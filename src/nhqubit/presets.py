@@ -7,24 +7,29 @@ grouped by quantity, and scenario.emit writes it with its manifest, as
 for a scenario run.  Every build reads its kernels from one
 bath.Kernels table of the caption bath and grid (caption_kernels), made
 on first use and shared by the process, so gamma(t), d gamma/dt and each
-theta-linear kernel are evaluated at most once per process: a build
-evolves its cases in one dynamics.evolve call on that table, and the
-phase-function presets read it directly.  Reproduction is qualitative
-(curve shapes, orderings, constants): the published figures do not state
-the exact spectral-density form.
+theta-linear kernel are evaluated at most once per process.  Every build
+reads its trajectories through caption_trajectory, which evolves each
+caption qubit on that table at most once per table and tol, one
+dynamics.evolve call per qubit, and shares the (frozen) trajectory with
+every later build; the phase-function presets read the table directly.
+A fresh table (caption_kernels.cache_clear()) starts with no
+trajectories.  Reproduction is qualitative (curve shapes, orderings,
+constants): the published figures do not state the exact
+spectral-density form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bath, entropy, qsl
 from .bath import BathParams, DEFAULT_TOL
-from .dynamics import QubitParams, Symmetry, evolve
+from .dynamics import QubitParams, Symmetry, Trajectory, evolve
 from .scenario import check_tol, emit
 
 CAPTION_BATH = BathParams(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)
@@ -49,6 +54,24 @@ def caption_kernels() -> bath.Kernels:
     ts = np.linspace(0.0, T_MAX, N_POINTS)
     ts.flags.writeable = False
     return bath.Kernels(ts, CAPTION_BATH)
+
+
+# Per caption table: {(qubit, tol): trajectory}.  Weak keys, so a table
+# dropped by caption_kernels.cache_clear() takes its trajectories with it.
+_TRAJECTORIES = weakref.WeakKeyDictionary()
+
+
+def caption_trajectory(p: QubitParams, tol: float = DEFAULT_TOL) -> Trajectory:
+    """The trajectory of qubit p in the caption bath and grid, evolved on
+    the caption table at most once per table and tol and shared by every
+    build that asks for it.  evolve gives one qubit the same trajectory
+    bit for bit as any sweep it is part of, so sharing moves no output."""
+    kernels = caption_kernels()
+    memo = _TRAJECTORIES.setdefault(kernels, {})
+    if (p, tol) not in memo:
+        memo[p, tol] = evolve([p], CAPTION_BATH, kernels.ts, tol=tol,
+                              kernels=kernels)[0]
+    return memo[p, tol]
 
 
 def caption_pt(theta: float = 0.86) -> QubitParams:
@@ -87,11 +110,11 @@ class Preset:
 
     def build(self, tol: float) -> tuple[list[str], list[np.ndarray], float]:
         """(header, columns, max_err): t, then a column per quantity and
-        case, grouped by quantity.  The cases are evolved at most once."""
+        case, grouped by quantity.  The trajectories are caption_trajectory's,
+        shared with every other build of the process."""
         kernels = caption_kernels()
         ts = kernels.ts
         qubits = [p for _, p in self.cases]
-        trajs = None
         header, cols = ["t"], [ts]
         max_err = 0.0
         for quantity in self.quantities:
@@ -99,8 +122,7 @@ class Preset:
                 results = [_phase_function(p, ts, kernels, tol)
                            for p in qubits]
             else:
-                trajs = trajs or evolve(qubits, CAPTION_BATH, ts, tol=tol,
-                                        kernels=kernels)
+                trajs = [caption_trajectory(p, tol) for p in qubits]
                 results = [(_trajectory_column(traj, quantity),
                             traj.max_quad_error) for traj in trajs]
             for (col, err), (label, _) in zip(results, self.cases):

@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CAPTION_APT, CAPTION_PT, count_calls, random_state
 from nhqubit import entropy
@@ -91,6 +94,62 @@ class TestRenyiLargeOrder:
                 # both logs lie in [-log 2, log 2].
                 assert abs(s_q - s_inf) <= math.log(2.0) / (q - 1.0) + 1e-12
                 previous = s_q
+
+
+class TestRenyiNearOrderOne:
+    """Orders with 0 < |q - 1| < NEAR_ONE take the expm1 form, which keeps
+    its digits as q tends to 1; the general form divided an error of about
+    one ulp by |1 - q|, up to 6.2e-8 on this grid."""
+
+    ORDERS = (1 + 2e-5, 1 - 2e-5, 1 + 3e-6, 1 - 3e-6, 1 + 1e-9, 1.001,
+              0.999, 1.1, 2.0, 0.5)
+    LOWS = (0.5, 0.3, 0.1, 1e-3, 1e-8, 0.0)
+
+    @staticmethod
+    def reference(q: float, lo: float, hi: float):
+        """S_q of the eigenvalues (lo, hi) renormalised to unit sum, in
+        50-digit arithmetic."""
+        with mpmath.workdps(50):
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            total = lo + hi
+            lo, hi = lo / total, hi / total
+            return mpmath.log(hi**q + (lo**q if lo else 0)) / (1 - q)
+
+    @pytest.mark.parametrize("q", ORDERS)
+    def test_against_mpmath(self, q):
+        lo = np.array(self.LOWS)
+        got = entropy._spectral_entropy(lo, 1.0 - lo, q)
+        eps = np.finfo(float).eps
+        for value, low in zip(got, self.LOWS):
+            want = self.reference(q, low, 1.0 - low)
+            # A few ulp of ln 2, the largest S_q; relative to S_q itself
+            # on the expm1 form, down to S_q of about 1e-8 at lo = 1e-8.
+            assert abs(value - want) <= 4 * eps
+            if abs(q - 1.0) < entropy.NEAR_ONE:
+                assert abs(value - want) <= 4 * eps * abs(want)
+
+    def test_maximally_mixed_is_log_2(self):
+        half = np.array([0.5])
+        for q in self.ORDERS:
+            assert entropy._spectral_entropy(half, half, q)[0] == math.log(2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lo=st.floats(0.0, 0.5), q=st.floats(0.25, 1.75),
+           r=st.floats(0.25, 1.75))
+    @example(lo=0.5, q=1.0, r=1.00002)  # S_1.00002 was ln 2 + 1.45e-12
+    @example(lo=1e-3, q=1.5 - 1e-12, r=1.5)
+    @example(lo=1e-3, q=0.5, r=0.5 + 1e-12)
+    def test_non_increasing_and_lipschitz_across_the_switch(self, lo, q, r):
+        """S_q is non-increasing in q, to rounding, across q = 1 and the
+        band edges 0.5 and 1.5, and |S_q - S_1| <= |q - 1| / 2 (the
+        largest |dS_q/dq| over q in [0.25, 1.75] is 0.43)."""
+        low, high = np.array([lo]), np.array([1.0 - lo])
+        q, r = min(q, r), max(q, r)
+        s_q, s_r, s_1 = (entropy._spectral_entropy(low, high, order)[0]
+                         for order in (q, r, 1.0))
+        slack = 4 * np.finfo(float).eps
+        assert s_r <= s_q + slack
+        assert abs(s_q - s_1) <= 0.5 * abs(q - 1.0) + slack
 
 
 class TestRenyi0:

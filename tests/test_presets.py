@@ -1,5 +1,6 @@
-"""Figure presets: the bath is evaluated once per process, each parameter
-set is evolved once, and the written CSVs stay on the committed snapshot."""
+"""Figure presets: the bath is evaluated once per process, each caption
+qubit is evolved once per process, and the written CSVs stay on the
+committed snapshot."""
 
 import json
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, count_evaluations
-from nhqubit import dynamics, presets
+from nhqubit import cli, dynamics, presets
 from nhqubit.bath import DEFAULT_TOL
 from nhqubit.presets import APT_PAIRS, PRESETS, PT_THETAS, run_preset
 
@@ -56,9 +57,67 @@ def test_build_evaluates_the_bath_once(name, tmp_path, monkeypatch,
     run_preset(name, tmp_path)
     assert kernels == _evaluations(name)
     assert evolves == {"evolve_pt": 0, "evolve_apt": 0, **_assemblies(name)}
-    # A second build reads the filled table.
+    # A second build reads the filled table and the shared trajectories.
     run_preset(name, tmp_path / "again")
     assert kernels == _evaluations(name)
+    assert evolves == {"evolve_pt": 0, "evolve_apt": 0, **_assemblies(name)}
+
+
+def test_pass_evolves_each_caption_qubit_once(tmp_path, monkeypatch,
+                                              fresh_caption_kernels):
+    """A pass of all 13 presets from a fresh table evolves each of the 7 PT
+    and 4 Anti-PT caption qubits once (36 and 21 times with a sweep per
+    build); fig_apt_vs_pt_entropy0 reuses theta = 0.86 and (0.81, 0.56)."""
+    evolves = count_calls(monkeypatch, dynamics, "_pt_trajectory",
+                          "_apt_trajectory")
+    for name in PRESETS:
+        run_preset(name, tmp_path / name)
+    assert evolves == {"_pt_trajectory": len(PT_THETAS),
+                       "_apt_trajectory": len(APT_PAIRS)}
+    # A fresh table starts with no trajectories.
+    presets.caption_kernels.cache_clear()
+    run_preset("fig_apt_vs_pt_entropy0", tmp_path / "fresh")
+    assert evolves == {"_pt_trajectory": len(PT_THETAS) + 1,
+                       "_apt_trajectory": len(APT_PAIRS) + 1}
+
+
+def test_csv_is_the_same_from_a_fresh_or_shared_trajectory(
+        tmp_path, fresh_caption_kernels):
+    """Every preset's CSV from a fresh table equals, byte for byte, the
+    one written after the other 12 presets, run in reverse order, filled
+    the table and its trajectories."""
+    fresh = {}
+    for name in PRESETS:
+        presets.caption_kernels.cache_clear()
+        run_preset(name, tmp_path / "fresh" / name)
+        fresh[name] = (tmp_path / "fresh" / name / f"{name}.csv").read_bytes()
+    for name in PRESETS:
+        presets.caption_kernels.cache_clear()
+        for other in reversed(PRESETS):
+            if other != name:
+                run_preset(other, tmp_path / "others")
+        run_preset(name, tmp_path / "filled")
+        assert (tmp_path / "filled" / f"{name}.csv").read_bytes() \
+            == fresh[name], name
+
+
+def test_failed_tol_leaves_no_trajectory(tmp_path, capsys,
+                                         fresh_caption_kernels):
+    """A tol the kernels cannot meet exits 4 with the kernel's message, and
+    caches nothing that a later run at the default tol would read."""
+    out = str(tmp_path / "out")
+    for _ in range(2):
+        assert cli.main(["run", "--preset", "fig_pt_decoherence",
+                         "--tol", "1e-30", "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("error: gamma at t=0.1: error bound "
+                                "2.505e-15 > tol 1.000e-30 after 7638 "
+                                "series terms\n")
+        assert captured.out == ""
+    assert cli.main(["run", "--preset", "fig_pt_decoherence",
+                     "--out", out]) == 0
+    assert capsys.readouterr().out == "wrote fig_pt_decoherence.csv to " \
+        f"{out}\n"
 
 
 @pytest.mark.parametrize("name", PRESETS)

@@ -247,3 +247,14 @@ class TestRecord:
                 array[0] = 1.0
         # The views leave the caller's own grid writable.
         grid[0] = 0.0
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fields_cannot_be_reassigned(self, caption_bath, case):
+        """A trajectory may be shared (the presets share theirs), so no
+        field can be rebound; the record is still filled in place."""
+        traj = evolve([CASES[case]], caption_bath, GRID)[0]
+        for f in dataclasses.fields(traj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(traj, f.name, getattr(traj, f.name))
+        series = qsl.qsl_series(traj)
+        assert qsl.qsl_series(traj).bures_angle is series.bures_angle
