@@ -10,6 +10,9 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - gamma and d gamma/dt at n = 31 and 201
 - the unit-theta kernels omega_pt, omega1 and d omega1/dt at n = 201
 - the PT state assembly T^-1 rho_d T^-dagger / tr at n = 201
+- one-qubit dynamics.evolve(..., kernels=table) calls of the caption PT
+  and Anti-PT qubits at n = 201 on a filled table, so each row times the
+  trajectory assembly alone
 - one build each of the presets fig_pt_decoherence and fig_apt_qsl; in a
   checkout whose presets share one kernel table (presets.caption_kernels)
   every timed build finds it filled, as all builds but the first of a
@@ -145,6 +148,13 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
         notes["pt_assembly_201"] = "stacked per-time product, as inlined"
     calls["pt_assembly_201"] = (
         lambda: assemble(t_inv, rho0.p1, rho0.p2, coherences))
+
+    table = bath.Kernels(ts, b)
+    qubits = [qubit, presets.caption_apt()]
+    dynamics.evolve(qubits, b, ts, kernels=table)  # fills the table
+    for label, p in zip(("pt", "apt"), qubits):
+        calls[f"evolve_{label}_201"] = (
+            lambda p=p: dynamics.evolve([p], b, ts, kernels=table))
 
     for name in ("fig_pt_decoherence", "fig_apt_qsl"):
         calls[f"build_{name}"] = (

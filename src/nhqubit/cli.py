@@ -36,6 +36,15 @@ EXIT_BROKEN_PHASE = 3
 EXIT_QUADRATURE = 4
 EXIT_IO = 5
 
+# (error type, exit code), first match wins.
+_EXIT_CODES = (
+    ((ConfigError, GridMismatch), EXIT_CONFIG),
+    (BrokenPhase, EXIT_BROKEN_PHASE),
+    (QuadratureDivergence, EXIT_QUADRATURE),
+    (NhQubitError, EXIT_CONFIG),
+    (OSError, EXIT_IO),
+)
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,21 +117,10 @@ def main(argv=None) -> int:
         if args.verb == "list-presets":
             return _cmd_list_presets()
         return _cmd_compare(args)
-    except (ConfigError, GridMismatch) as exc:
+    except (NhQubitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BrokenPhase as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BROKEN_PHASE
-    except QuadratureDivergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
-    except NhQubitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

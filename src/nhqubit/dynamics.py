@@ -1,20 +1,24 @@
 """PT / Anti-PT Hamiltonians and closed-form dephasing trajectories.
 
-Both symmetry classes evolve under pure dephasing: populations are frozen
-in the appropriate frame while the coherence picks up a phase and the
-multiplicative damping D(t) = exp(-omega0^2 gamma(t)).
+Both symmetry classes evolve the same way.  A similarity transformation T
+(the Dyson map) takes the qubit to the eigenframe of H, where it
+dephases in closed form: populations frozen, coherence c0 exp(i phase)
+D(t) with damping D(t) = exp(-omega0^2 gamma(t)) and phase 2 omega0 t -
+omega0 F(t), F being the class's phase function (phase_function).  The
+frame is the only difference: PT states are mapped back to the physical
+frame through T^-1; Anti-PT states stay in the eigenframe of H, where
+they evolve under diag(exp(-i E t)).
 
 A Trajectory holds the states as arrays over the time grid; DensityMatrix
-objects are built only on request (Trajectory.states).  PT states are
-mapped back to the physical frame through T^-1; Anti-PT states stay in the
-eigenframe of H, where they evolve under diag(exp(-i E t)).
+objects are built only on request (Trajectory.states).
 
 evolve() takes a parameter sweep in one bath, as whole-array passes over
-the grid.  gamma(t) (and d gamma/dt for Anti-PT) depends only on the bath
-and the grid, and Omega, Omega_1 and d Omega_1/dt are theta times a
-per-unit-theta kernel of the same, so all are read from one bath.Kernels
-table, evaluated at most once there and scaled per qubit.  The table is
-the call's own unless the caller passes one to share across calls, as the
+the grid.  gamma(t) and d gamma/dt depend only on the bath and the grid,
+and Omega, Omega_1 and d Omega_1/dt are theta times a per-unit-theta
+kernel of the same, so all are read from one bath.Kernels table,
+evaluated at most once there.  Each qubit reads the kernels its class
+needs and scales the theta-linear ones by its theta.  The table is the
+call's own unless the caller passes one to share across calls, as the
 presets do.  evolve_pt and evolve_apt are one-qubit calls of it.
 """
 
@@ -255,61 +259,58 @@ def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
     return phys
 
 
-def _pt_trajectory(p, omega0, ts, rho0_diag, g, kernels, tol) -> Trajectory:
-    """One PT trajectory on the validated grid ts, given gamma there and
-    the grid's theta-linear kernels."""
-    t_inv = np.linalg.inv(transformation_matrix(p))
-
-    om = kernels("omega_pt", p.theta, tol)
-    damping = np.exp(-(omega0**2) * g.value)
-    phases = 2.0 * omega0 * ts - omega0 * om.value
-    coherences = rho0_diag.c * np.exp(1j * phases) * damping
-    max_err = float(max(g.abs_error.max(), om.abs_error.max()))
-
-    phys = _physical_states(t_inv, rho0_diag.p1, rho0_diag.p2, coherences)
-
-    return Trajectory(
-        symmetry=Symmetry.PT,
-        omega0=omega0,
-        times=ts,
-        p1=phys[:, 0, 0].real,
-        p2=phys[:, 1, 1].real,
-        c=phys[:, 0, 1],
-        decoherence=damping,
-        phase=phases,
-        max_quad_error=max_err,
-        rho0_diag=rho0_diag,
-    )
+def phase_function(p: QubitParams, b: BathParams, kernels: bath.Kernels,
+                   tol: float = DEFAULT_TOL):
+    """(F, result): the phase function on the grid of the table kernels in
+    the bath b, and the kernel result it read, with F's error bound.  The
+    coherence phase is 2 omega0 t - omega0 F: F is Omega for PT, and
+    Omega_2 - Omega_1, the same for every (xi, delta), for Anti-PT."""
+    if p.symmetry is Symmetry.PT:
+        res = kernels("omega_pt", p.theta, tol)
+        return res.value, res
+    res = kernels("omega1", p.theta, tol)
+    return bath.omega2(kernels.ts, p.theta, b) - res.value, res
 
 
-def _apt_trajectory(p, omega0, b, ts, rho0, g, dg, kernels,
-                    tol) -> Trajectory:
-    """One Anti-PT trajectory, given gamma, d gamma/dt and the
-    theta-linear kernels on ts."""
-    o1 = kernels("omega1", p.theta, tol)
-    do1 = kernels("omega1_rate", p.theta, tol)
-    max_err = float(max(r.abs_error.max() for r in (g, o1, dg, do1)))
+def _trajectory(p, omega0, b, ts, initial, kernels, tol) -> Trajectory:
+    """One trajectory on the validated grid ts of the table kernels: the
+    eigenframe state initial dephases in closed form, and the frame is the
+    only class branch (PT states go to the physical frame through T^-1,
+    Anti-PT ones stay and carry their analytic Liouvillian norm)."""
+    anti = p.symmetry is Symmetry.ANTI_PT
+    g = kernels.gamma(tol)
+    dg = kernels.gamma_rate(tol) if anti else None
+    f, phase_kernel = phase_function(p, b, kernels, tol)
+    reads = [g, phase_kernel]
 
     damping = np.exp(-(omega0**2) * g.value)
-    phases = 2.0 * omega0 * ts - omega0 * (bath.omega2(ts, p.theta, b)
-                                           - o1.value)
-    coherences = rho0.c * np.exp(1j * phases) * damping
-    # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
-    dphi = 2.0 * omega0 - omega0 * (bath.omega2_rate(ts, p.theta, b)
-                                    - do1.value)
-    lnorm = np.abs(coherences) * np.hypot(dphi, omega0**2 * dg.value)
+    phases = 2.0 * omega0 * ts - omega0 * f
+    coherences = initial.c * np.exp(1j * phases) * damping
+
+    if anti:
+        do1 = kernels("omega1_rate", p.theta, tol)
+        reads += [dg, do1]
+        # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
+        dphi = 2.0 * omega0 - omega0 * (bath.omega2_rate(ts, p.theta, b)
+                                        - do1.value)
+        frame = dict(p1=np.full(len(ts), initial.p1),
+                     p2=np.full(len(ts), initial.p2), c=coherences,
+                     lnorm_analytic=np.abs(coherences)
+                     * np.hypot(dphi, omega0**2 * dg.value))
+    else:
+        phys = _physical_states(np.linalg.inv(transformation_matrix(p)),
+                                initial.p1, initial.p2, coherences)
+        frame = dict(p1=phys[:, 0, 0].real, p2=phys[:, 1, 1].real,
+                     c=phys[:, 0, 1], rho0_diag=initial)
 
     return Trajectory(
-        symmetry=Symmetry.ANTI_PT,
+        symmetry=p.symmetry,
         omega0=omega0,
         times=ts,
-        p1=np.full(len(ts), rho0.p1),
-        p2=np.full(len(ts), rho0.p2),
-        c=coherences,
         decoherence=damping,
         phase=phases,
-        max_quad_error=max_err,
-        lnorm_analytic=lnorm,
+        max_quad_error=float(max(r.abs_error.max() for r in reads)),
+        **frame,
     )
 
 
@@ -322,14 +323,16 @@ def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
     default); PT trajectories map it to the physical frame, Anti-PT ones
     stay in the eigenframe.  The kernels come from one bath.Kernels table,
     a new one unless kernels is given, which must be for the bath b and
-    the grid times (ValueError otherwise).  gamma is read once, d gamma/dt
-    once if any qubit is Anti-PT, and each theta-linear kernel per unit
-    theta as some qubit's class needs it; each qubit scales those by its
-    theta before the tol check, so a sweep, one call per qubit and a shared
-    table give the same trajectories bit for bit: each qubit's trajectory
-    depends on the qubit, the bath, the grid, initial and tol alone, never
-    on the other qubits of the call.  presets.caption_trajectory relies on
-    that to evolve each caption qubit once, alone, and share it.
+    the grid times (ValueError otherwise).  The table evaluates each
+    kernel at most once.  Each qubit in turn reads what its class needs
+    (gamma, d gamma/dt for Anti-PT, then its phase kernels) and scales the
+    theta-linear ones by its theta before the tol check, so each qubit's
+    trajectory depends on the qubit, the bath, the grid, initial and tol
+    alone: a sweep, one call per qubit and a shared table agree bit for
+    bit, and presets.caption_trajectory relies on that to evolve each
+    caption qubit once and share it.  In a sweep that mixes the classes,
+    a kernel error names the first failing kernel in qubit order, so a
+    PT qubit's Omega can fail before a later Anti-PT qubit's d gamma/dt.
     """
     omegas = [_require_positive_split(p) for p in qubits]
     ts = _validate_times(times)
@@ -339,13 +342,7 @@ def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
         raise ValueError("the kernel table is for another bath or time grid")
     if initial is None:
         initial = DensityMatrix.plus()
-    g = kernels.gamma(tol)
-    dg = (kernels.gamma_rate(tol)
-          if any(p.symmetry is Symmetry.ANTI_PT for p in qubits) else None)
-    return [_pt_trajectory(p, omega0, ts, initial, g, kernels, tol)
-            if p.symmetry is Symmetry.PT
-            else _apt_trajectory(p, omega0, b, ts, initial, g, dg, kernels,
-                                 tol)
+    return [_trajectory(p, omega0, b, ts, initial, kernels, tol)
             for p, omega0 in zip(qubits, omegas)]
 
 

@@ -11,7 +11,9 @@ theta-linear kernel are evaluated at most once per process.  Every build
 reads its trajectories through caption_trajectory, which evolves each
 caption qubit on that table at most once per table and tol, one
 dynamics.evolve call per qubit, and shares the (frozen) trajectory with
-every later build; the phase-function presets read the table directly.
+every later build.  The phase-function presets plot
+dynamics.phase_function on the same table: F for Anti-PT and -F for PT,
+as the published figures do.
 A fresh table (caption_kernels.cache_clear()) starts with no
 trajectories.  Reproduction is qualitative (curve shapes, orderings,
 constants): the published figures do not state the exact
@@ -29,7 +31,8 @@ import numpy as np
 
 from . import bath, entropy, qsl
 from .bath import BathParams, DEFAULT_TOL
-from .dynamics import QubitParams, Symmetry, Trajectory, evolve
+from .dynamics import (QubitParams, Symmetry, Trajectory, evolve,
+                       phase_function)
 from .scenario import check_tol, emit
 
 CAPTION_BATH = BathParams(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)
@@ -113,14 +116,12 @@ class Preset:
         case, grouped by quantity.  The trajectories are caption_trajectory's,
         shared with every other build of the process."""
         kernels = caption_kernels()
-        ts = kernels.ts
         qubits = [p for _, p in self.cases]
-        header, cols = ["t"], [ts]
+        header, cols = ["t"], [kernels.ts]
         max_err = 0.0
         for quantity in self.quantities:
             if quantity == "phase_function":
-                results = [_phase_function(p, ts, kernels, tol)
-                           for p in qubits]
+                results = [_phase_function(p, kernels, tol) for p in qubits]
             else:
                 trajs = [caption_trajectory(p, tol) for p in qubits]
                 results = [(_trajectory_column(traj, quantity),
@@ -132,16 +133,11 @@ class Preset:
         return header, cols, max_err
 
 
-def _phase_function(p: QubitParams, ts: np.ndarray,
-                    kernels: bath.Kernels, tol: float):
-    if p.symmetry is Symmetry.PT:
-        # The published curves plot the negative of the ramp kernel.
-        res = kernels("omega_pt", p.theta, tol)
-        return -res.value, float(res.abs_error.max())
-    # Omega_2 - Omega_1: identical across (xi, delta) pairs.
-    o1 = kernels("omega1", p.theta, tol)
-    return (bath.omega2(ts, p.theta, CAPTION_BATH) - o1.value,
-            float(o1.abs_error.max()))
+def _phase_function(p: QubitParams, kernels: bath.Kernels, tol: float):
+    f, res = phase_function(p, CAPTION_BATH, kernels, tol)
+    # The published PT curves plot the negative of the ramp kernel.
+    return (-f if p.symmetry is Symmetry.PT else f,
+            float(res.abs_error.max()))
 
 
 # Renyi order of each entropy column.

