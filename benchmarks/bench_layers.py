@@ -30,6 +30,8 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
   a fresh dataclasses.replace copy of the trajectory, so no call finds
   speed-limit series that an earlier one computed
 - entropy.entropy_series over 12 orders on both of those trajectories
+- Trajectory.dephasing_frame() of that PT trajectory: the eigenframe
+  states the entropies are defined on
 
 Each LABEL=SRC argument imports the nhqubit package found in SRC, so one
 copy of this script measures any checkouts side by side.  Each quantity
@@ -199,6 +201,7 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
               math.inf)
     calls["entropy_12_orders_301"] = lambda: [
         entropy.entropy_series(traj, orders) for traj in pair]
+    calls["dephasing_frame_pt_301"] = pair[0].dephasing_frame
     return calls, notes
 
 

@@ -7,7 +7,8 @@ D(t) with damping D(t) = exp(-omega0^2 gamma(t)) and phase 2 omega0 t -
 omega0 F(t), F being the class's phase function (phase_function).  The
 frame is the only difference: PT states are mapped back to the physical
 frame through T^-1; Anti-PT states stay in the eigenframe of H, where
-they evolve under diag(exp(-i E t)).
+they evolve under diag(exp(-i E t)).  Both keep the eigenframe state,
+on which the entropies are defined (Trajectory.dephasing_frame).
 
 A Trajectory holds the states as arrays over the time grid; DensityMatrix
 objects are built only on request (Trajectory.states).
@@ -16,14 +17,16 @@ evolve() takes a parameter sweep in one bath, as whole-array passes over
 the grid.  gamma(t) and d gamma/dt depend only on the bath and the grid,
 and Omega, Omega_1 and d Omega_1/dt are theta times a per-unit-theta
 kernel of the same, so all are read from one bath.Kernels table,
-evaluated at most once there.  Each qubit reads the kernels its class
-needs and scales the theta-linear ones by its theta.  The table is the
-call's own unless the caller passes one to share across calls, as the
-presets do.  evolve_pt and evolve_apt are one-qubit calls of it.
+evaluated at most once there, and the table alone supplies the bath and
+the grid.  Each qubit reads the kernels its class needs and scales the
+theta-linear ones by its theta.  The table is the call's own unless the
+caller passes one to share across calls, as the presets do.  evolve_pt
+and evolve_apt are one-qubit calls of it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import bath
 from .bath import BathParams, DEFAULT_TOL
-from .errors import BrokenPhase
+from .errors import BrokenPhase, DomainError
 from .linalg2 import DensityMatrix, as_matrix, check_physical, opnorm
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -51,6 +54,8 @@ class QubitParams:
 
     PT requires delta^2 + xi^2 >= theta^2, Anti-PT requires
     alpha^2 >= xi^2 + delta^2, so the eigenvalue splitting stays real.
+    A splitting outside the float range (a parameter near 1e154 or
+    beyond) raises DomainError.
     """
 
     alpha: float
@@ -60,12 +65,21 @@ class QubitParams:
     symmetry: Symmetry
 
     def __post_init__(self):
-        if self.splitting_squared() < 0.0:
-            raise BrokenPhase(
-                f"{self.symmetry.value} parameters lie in the broken regime: "
-                f"alpha={self.alpha}, theta={self.theta}, "
-                f"xi={self.xi}, delta={self.delta}"
-            )
+        try:
+            squared = self.splitting_squared()
+        except OverflowError:
+            squared = math.nan
+        if squared < 0.0:
+            raise BrokenPhase(f"{self.symmetry.value} parameters lie in the "
+                              f"broken regime: {self._values()}")
+        if not math.isfinite(squared):
+            raise DomainError(
+                f"{self.symmetry.value} parameters give a splitting outside "
+                f"the floating-point range: {self._values()}")
+
+    def _values(self) -> str:
+        return (f"alpha={self.alpha}, theta={self.theta}, xi={self.xi}, "
+                f"delta={self.delta}")
 
     def splitting_squared(self) -> float:
         if self.symmetry is Symmetry.PT:
@@ -89,8 +103,10 @@ class Trajectory:
     state at times[i], checked physical on construction: the physical-frame
     state for PT, the eigenframe state for Anti-PT.
     phase[i] is the coherence phase accumulated since t = 0 (the initial
-    coherence's own argument is not included).  For Anti-PT trajectories
-    lnorm_analytic holds |d rho/dt|_op from the differentiated closed form.
+    coherence's own argument is not included).  Both classes keep the
+    eigenframe state: rho0_diag at t = 0 and the coherence c_diag =
+    rho0_diag.c exp(i phase) decoherence (for Anti-PT, c's buffer).  For
+    Anti-PT lnorm_analytic holds |d rho/dt|_op from the closed form.
 
     The trajectory is frozen and its arrays are read-only views, so what
     is derived from them cannot go stale and a trajectory can be shared
@@ -110,7 +126,8 @@ class Trajectory:
     decoherence: np.ndarray
     phase: np.ndarray
     max_quad_error: float
-    rho0_diag: DensityMatrix | None = None
+    rho0_diag: DensityMatrix
+    c_diag: np.ndarray
     lnorm_analytic: np.ndarray | None = None
     # Series name -> read-only array, filled by nhqubit.qsl.
     _qsl: dict = field(default_factory=dict, init=False, repr=False,
@@ -136,22 +153,19 @@ class Trajectory:
 
     def dephasing_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(p1, p2, c) in the frame where dephasing is diagonal: populations
-        frozen, coherence c0 exp(i phase) D.  The entropies are defined on
-        these states; for Anti-PT they are the trajectory's own eigenframe
-        states."""
-        if self.symmetry is Symmetry.ANTI_PT:
-            return self.p1, self.p2, self.c
-        base = self.rho0_diag
+        frozen at rho0_diag's, coherence c_diag (the stored array itself).
+        The entropies are defined on these states; for Anti-PT they are the
+        trajectory's own eigenframe states."""
         n = len(self)
-        return (np.full(n, base.p1), np.full(n, base.p2),
-                base.c * np.exp(1j * self.phase) * self.decoherence)
+        return (np.full(n, self.rho0_diag.p1), np.full(n, self.rho0_diag.p2),
+                self.c_diag)
 
     def dephasing_states(self) -> list[DensityMatrix]:
         """The dephasing-frame states as DensityMatrix objects."""
         return _states(*self.dephasing_frame())
 
 
-_ARRAYS = ("times", "p1", "p2", "c", "decoherence", "phase",
+_ARRAYS = ("times", "p1", "p2", "c", "decoherence", "phase", "c_diag",
            "lnorm_analytic")
 
 
@@ -259,59 +273,71 @@ def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
     return phys
 
 
-def phase_function(p: QubitParams, b: BathParams, kernels: bath.Kernels,
+@contextlib.contextmanager
+def _in_range(p: QubitParams):
+    """DomainError naming the qubit p where the array arithmetic in the
+    block overflows or turns invalid, as bath._in_range does for the
+    kernels."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(
+            f"{p.symmetry.value} trajectory: {exc}, outside the "
+            f"floating-point range ({p._values()})") from None
+
+
+def phase_function(p: QubitParams, kernels: bath.Kernels,
                    tol: float = DEFAULT_TOL):
-    """(F, result): the phase function on the grid of the table kernels in
-    the bath b, and the kernel result it read, with F's error bound.  The
-    coherence phase is 2 omega0 t - omega0 F: F is Omega for PT, and
+    """(F, result): the phase function in the bath and on the grid of the
+    table kernels, and the kernel result it read, with F's error bound.
+    The coherence phase is 2 omega0 t - omega0 F: F is Omega for PT, and
     Omega_2 - Omega_1, the same for every (xi, delta), for Anti-PT."""
     if p.symmetry is Symmetry.PT:
         res = kernels("omega_pt", p.theta, tol)
         return res.value, res
     res = kernels("omega1", p.theta, tol)
-    return bath.omega2(kernels.ts, p.theta, b) - res.value, res
+    return bath.omega2(kernels.ts, p.theta, kernels.p) - res.value, res
 
 
-def _trajectory(p, omega0, b, ts, initial, kernels, tol) -> Trajectory:
-    """One trajectory on the validated grid ts of the table kernels: the
-    eigenframe state initial dephases in closed form, and the frame is the
-    only class branch (PT states go to the physical frame through T^-1,
-    Anti-PT ones stay and carry their analytic Liouvillian norm)."""
+def _trajectory(p, omega0, initial, kernels, tol) -> Trajectory:
+    """One trajectory in the bath and on the validated grid of the table
+    kernels: the eigenframe state initial dephases in closed form, and the
+    frame is the only class branch (PT states go to the physical frame
+    through T^-1, Anti-PT ones stay and carry their analytic Liouvillian
+    norm).  Both keep the eigenframe state as rho0_diag and c_diag."""
     anti = p.symmetry is Symmetry.ANTI_PT
+    ts = kernels.ts
     g = kernels.gamma(tol)
     dg = kernels.gamma_rate(tol) if anti else None
-    f, phase_kernel = phase_function(p, b, kernels, tol)
+    f, phase_kernel = phase_function(p, kernels, tol)
     reads = [g, phase_kernel]
-
-    damping = np.exp(-(omega0**2) * g.value)
-    phases = 2.0 * omega0 * ts - omega0 * f
-    coherences = initial.c * np.exp(1j * phases) * damping
-
     if anti:
         do1 = kernels("omega1_rate", p.theta, tol)
+        do2 = bath.omega2_rate(ts, p.theta, kernels.p)
         reads += [dg, do1]
-        # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
-        dphi = 2.0 * omega0 - omega0 * (bath.omega2_rate(ts, p.theta, b)
-                                        - do1.value)
-        frame = dict(p1=np.full(len(ts), initial.p1),
-                     p2=np.full(len(ts), initial.p2), c=coherences,
-                     lnorm_analytic=np.abs(coherences)
-                     * np.hypot(dphi, omega0**2 * dg.value))
-    else:
-        phys = _physical_states(np.linalg.inv(transformation_matrix(p)),
-                                initial.p1, initial.p2, coherences)
-        frame = dict(p1=phys[:, 0, 0].real, p2=phys[:, 1, 1].real,
-                     c=phys[:, 0, 1], rho0_diag=initial)
+
+    # Every kernel is read, so a kernel error keeps precedence.
+    with _in_range(p):
+        damping = np.exp(-(omega0**2) * g.value)
+        phases = 2.0 * omega0 * ts - omega0 * f
+        coherences = initial.c * np.exp(1j * phases) * damping
+        p1, p2 = np.full(len(ts), initial.p1), np.full(len(ts), initial.p2)
+        c, lnorm = coherences, None
+        if anti:
+            # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
+            dphi = 2.0 * omega0 - omega0 * (do2 - do1.value)
+            lnorm = np.abs(coherences) * np.hypot(dphi, omega0**2 * dg.value)
+        else:
+            phys = _physical_states(np.linalg.inv(transformation_matrix(p)),
+                                    p1, p2, coherences)
+            p1, p2, c = phys[:, 0, 0].real, phys[:, 1, 1].real, phys[:, 0, 1]
 
     return Trajectory(
-        symmetry=p.symmetry,
-        omega0=omega0,
-        times=ts,
-        decoherence=damping,
-        phase=phases,
+        symmetry=p.symmetry, omega0=omega0, times=ts, p1=p1, p2=p2, c=c,
+        decoherence=damping, phase=phases,
         max_quad_error=float(max(r.abs_error.max() for r in reads)),
-        **frame,
-    )
+        rho0_diag=initial, c_diag=coherences, lnorm_analytic=lnorm)
 
 
 def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
@@ -333,6 +359,8 @@ def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
     caption qubit once and share it.  In a sweep that mixes the classes,
     a kernel error names the first failing kernel in qubit order, so a
     PT qubit's Omega can fail before a later Anti-PT qubit's d gamma/dt.
+    A qubit reads all its kernels before its arithmetic, which raises
+    DomainError where it overflows or turns invalid.
     """
     omegas = [_require_positive_split(p) for p in qubits]
     ts = _validate_times(times)
@@ -342,7 +370,7 @@ def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
         raise ValueError("the kernel table is for another bath or time grid")
     if initial is None:
         initial = DensityMatrix.plus()
-    return [_trajectory(p, omega0, b, ts, initial, kernels, tol)
+    return [_trajectory(p, omega0, initial, kernels, tol)
             for p, omega0 in zip(qubits, omegas)]
 
 

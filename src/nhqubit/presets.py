@@ -134,7 +134,7 @@ class Preset:
 
 
 def _phase_function(p: QubitParams, kernels: bath.Kernels, tol: float):
-    f, res = phase_function(p, CAPTION_BATH, kernels, tol)
+    f, res = phase_function(p, kernels, tol)
     # The published PT curves plot the negative of the ramp kernel.
     return (-f if p.symmetry is Symmetry.PT else f,
             float(res.abs_error.max()))

@@ -68,10 +68,17 @@ def _norms(traj: Trajectory, force_numeric: bool = False) -> np.ndarray:
     lo = np.clip(np.arange(n) - 1, 0, n - 3)
     t = traj.times
     t0, t1, t2 = t[lo], t[lo + 1], t[lo + 2]
+    with np.errstate(over="ignore"):
+        d0, d1, d2 = ((t0 - t1) * (t0 - t2), (t1 - t0) * (t1 - t2),
+                      (t2 - t0) * (t2 - t1))
+    if not all(np.isfinite(d).all() and d.all() for d in (d0, d1, d2)):
+        raise GridTooCoarse(
+            f"second-order stencil cannot resolve the grid up to t={t[-1]}: "
+            "a product of grid spacings rounds to 0 or overflows")
     # Derivative of the Lagrange interpolant through the 3 nodes, at t.
-    w0 = (2 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
-    w1 = (2 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-    w2 = (2 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+    w0 = (2 * t - t1 - t2) / d0
+    w1 = (2 * t - t0 - t2) / d1
+    w2 = (2 * t - t0 - t1) / d2
 
     def deriv(x):
         return w0 * x[lo] + w1 * x[lo + 1] + w2 * x[lo + 2]
@@ -146,7 +153,7 @@ def _tau(traj: Trajectory, angles, norms, horizon: float) -> float:
     if idx == 0:
         raise ValueError("horizon must be positive")
     avg = np.trapezoid(norms[:idx + 1], traj.times[:idx + 1]) / traj.times[idx]
-    if avg < 1e-15:
+    if not avg >= 1e-15:  # NaN too
         raise DegenerateTrajectory(
             f"trajectory shows no motion on [0, {horizon}]")
     return math.sin(angles[idx]) ** 2 / avg

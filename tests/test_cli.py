@@ -313,6 +313,61 @@ class TestExitCodes:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("symmetry, alpha, theta, xi, delta", [
+        pytest.param("PT", 1.0, 0.86, 1e200, 0.5, id="pt-xi-1e200"),
+        pytest.param("AntiPT", 1e200, 0.86, 1e200, 0.5, id="apt-1e200"),
+        pytest.param("PT", 1.0, 0.5, 1e154, 1e154, id="pt-1e154"),
+        pytest.param("AntiPT", 1.3e154, 0.86, 1e154, 0.5, id="apt-1.3e154"),
+    ])
+    def test_qubit_outside_the_float_range(self, tmp_path, capsys, symmetry,
+                                           alpha, theta, xi, delta):
+        """A splitting or trajectory outside the float range exits 2 with
+        one error line that names the parameters."""
+        text = PT_CONFIG
+        for key, value in (("symmetry", symmetry), ("alpha", alpha),
+                           ("theta", theta), ("xi", xi), ("delta", delta)):
+            text = "".join(line if not line.startswith(f"qubit.{key} =")
+                           else f"qubit.{key} = {value}\n"
+                           for line in text.splitlines(keepends=True))
+        text = text.replace("grid.n_points = 26", "grid.n_points = 21")
+        text = text.replace("outputs = decoherence, entropy, qsl",
+                            "outputs = trajectory, decoherence, phase, "
+                            "qsl, entropy")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"alpha={alpha}, theta={theta}, xi={xi}, delta={delta}" \
+            in err[0]
+
+    @pytest.mark.parametrize("t_max, n_points", [("1e-310", 21),
+                                                 ("1e-300", 3)])
+    def test_qsl_on_a_grid_the_stencil_cannot_resolve(
+            self, tmp_path, capsys, t_max, n_points):
+        """PT speed limits exit 2 where the stencil's denominators round
+        to 0; Anti-PT's analytic norm stays finite on the same grid."""
+        text = (PT_CONFIG.replace("grid.t_max = 5.0", f"grid.t_max = {t_max}")
+                .replace("grid.n_points = 26", f"grid.n_points = {n_points}")
+                .replace("outputs = decoherence, entropy, qsl",
+                         "outputs = qsl"))
+        cfg = tmp_path / "fine.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "pt")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: second-order "
+                                                   "stencil")
+        cfg.write_text(text.replace("= PT", "= AntiPT"))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "apt")]) \
+            == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} in the manifest")
+
+        manifest = json.loads((tmp_path / "apt" / "manifest.json").read_text(),
+                              parse_constant=reject)
+        assert manifest["tau_qsl"] == 0.0
+
     def test_non_utf8_config(self, tmp_path, capsys):
         cfg = tmp_path / "binary.cfg"
         cfg.write_bytes(b"\xff\xfe" + PT_CONFIG.encode())

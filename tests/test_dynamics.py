@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CAPTION_APT, CAPTION_PT, count_evaluations
-from nhqubit import bath
+from conftest import CAPTION_APT, CAPTION_BATH, CAPTION_PT, count_evaluations
+from nhqubit import bath, presets
 from nhqubit.bath import BathParams
 from nhqubit.dynamics import (
     QubitParams,
@@ -16,10 +16,11 @@ from nhqubit.dynamics import (
     evolve,
     evolve_apt,
     evolve_pt,
+    phase_function,
     split,
     transformation_matrix,
 )
-from nhqubit.errors import BrokenPhase
+from nhqubit.errors import BrokenPhase, DomainError, QuadratureDivergence
 from nhqubit.linalg2 import DensityMatrix
 
 GAMMA_T1 = 13.606317734925256  # frozen oracle value, caption bath
@@ -185,7 +186,8 @@ class TestEvolveAPT:
 
 
 class TestEvolveSweep:
-    FIELDS = ("p1", "p2", "c", "decoherence", "phase", "lnorm_analytic")
+    FIELDS = ("p1", "p2", "c", "decoherence", "phase", "c_diag",
+              "lnorm_analytic")
 
     def test_matches_single_calls_bitwise(self, caption_bath, monkeypatch):
         pt2 = QubitParams(alpha=1.0, theta=0.4, xi=0.81, delta=0.56,
@@ -240,6 +242,93 @@ class TestEvolveSweep:
             evolve([CAPTION_APT, exceptional], caption_bath, [1.0, 2.0])
         with pytest.raises(ValueError):
             evolve([CAPTION_APT, CAPTION_PT], caption_bath, [1.0, 2.0])
+
+
+class TestEigenframeRecord:
+    """Every trajectory keeps the eigenframe state it was assembled from,
+    and its dephasing frame reads it."""
+
+    @pytest.fixture(params=[CAPTION_PT, CAPTION_APT], ids=["pt", "apt"])
+    def traj(self, request, fresh_caption_kernels):
+        return presets.caption_trajectory(request.param)
+
+    def test_dephasing_frame_is_the_closed_form(self, traj):
+        """Frozen populations and c0 exp(i phase) D, bit for bit."""
+        rho0, n = traj.rho0_diag, len(traj)
+        assert rho0 == DensityMatrix.plus()
+        p1, p2, c = traj.dephasing_frame()
+        assert np.array_equal(p1, np.full(n, rho0.p1))
+        assert np.array_equal(p2, np.full(n, rho0.p2))
+        assert np.array_equal(
+            c, rho0.c * np.exp(1j * traj.phase) * traj.decoherence)
+
+    def test_coherence_is_the_read_only_field(self, traj):
+        c = traj.dephasing_frame()[2]
+        assert np.shares_memory(c, traj.c_diag)
+        with pytest.raises(ValueError):
+            c[0] = 0.0
+        # Anti-PT states are their own eigenframe states.
+        assert np.shares_memory(traj.c_diag, traj.c) == (
+            traj.symmetry is Symmetry.ANTI_PT)
+
+    def test_rho0_diag_is_the_initial_state(self, caption_bath):
+        rho0 = DensityMatrix.from_expectations(sz=0.3, coherence=0.2 - 0.1j)
+        for traj in evolve([CAPTION_PT, CAPTION_APT], caption_bath,
+                           np.linspace(0.0, 5.0, 11), initial=rho0):
+            assert traj.rho0_diag is rho0
+
+    def test_phase_function_reads_the_tables_bath(self):
+        other = BathParams(j0=0.7, omega_c=2.0, mu=0.3, beta=1.5)
+        ts = np.linspace(0.0, 20.0, 201)
+        theta = CAPTION_APT.theta
+        f_pt, _ = phase_function(CAPTION_PT, bath.Kernels(ts, other))
+        assert np.array_equal(f_pt, bath.omega_pt(ts, theta, other).value)
+        f_apt, _ = phase_function(CAPTION_APT, bath.Kernels(ts, other))
+        assert np.array_equal(f_apt, bath.omega2(ts, theta, other)
+                              - bath.omega1(ts, theta, other).value)
+        caption, _ = phase_function(CAPTION_APT,
+                                    bath.Kernels(ts, CAPTION_BATH))
+        assert not np.allclose(f_apt, caption)
+
+
+class TestFloatRange:
+    """Qubit parameters whose splitting or trajectory leaves the float
+    range raise DomainError, not OverflowError or numpy warnings."""
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(dict(symmetry=Symmetry.PT, alpha=1.0, theta=0.86,
+                          xi=1e200, delta=0.5), id="pt-overflow"),
+        pytest.param(dict(symmetry=Symmetry.ANTI_PT, alpha=1e200, theta=0.86,
+                          xi=1e200, delta=0.5), id="apt-overflow"),
+        pytest.param(dict(symmetry=Symmetry.PT, alpha=1.0, theta=0.5,
+                          xi=1e154, delta=1e154), id="pt-infinite-sum"),
+    ])
+    def test_splitting_outside_the_range(self, params):
+        with pytest.raises(DomainError, match=r"floating-point range: "
+                           r"alpha=.*, theta=.*, xi=.*, delta="):
+            QubitParams(**params)
+
+    def test_broken_beyond_the_range_stays_broken(self):
+        # alpha^2 - xi^2 - delta^2 is -inf: broken, as before.
+        with pytest.raises(BrokenPhase):
+            QubitParams(alpha=1e154, theta=0.86, xi=1.3e154, delta=1.3e154,
+                        symmetry=Symmetry.ANTI_PT)
+
+    def test_large_splitting_keeps_its_bits(self):
+        p = QubitParams(alpha=1.0, theta=0.86, xi=1e150, delta=0.5,
+                        symmetry=Symmetry.PT)
+        assert split(p).omega0 == math.sqrt(0.5**2 + 1e150**2 - 0.86**2)
+
+    def test_trajectory_outside_the_range(self, caption_bath):
+        p = QubitParams(alpha=1.3e154, theta=0.86, xi=1e154, delta=0.5,
+                        symmetry=Symmetry.ANTI_PT)
+        ts = np.linspace(0.0, 5.0, 21)
+        with pytest.raises(DomainError, match=r"AntiPT trajectory: overflow"
+                           r".*alpha=1\.3e\+154"):
+            evolve_apt(p, caption_bath, ts)
+        # A kernel that fails its tol is still reported first.
+        with pytest.raises(QuadratureDivergence):
+            evolve_apt(p, caption_bath, ts, tol=1e-30)
 
 
 class TestThetaKernelTable:

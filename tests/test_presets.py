@@ -109,7 +109,7 @@ def test_one_phase_function(preset, cases, sign, fresh_caption_kernels):
     ts = kernels.ts
     _, columns, _ = PRESETS[preset].build(DEFAULT_TOL)
     for (label, p), column in zip(cases, columns[1:], strict=True):
-        f, _ = dynamics.phase_function(p, CAPTION_BATH, kernels, DEFAULT_TOL)
+        f, _ = dynamics.phase_function(p, kernels, DEFAULT_TOL)
         traj = presets.caption_trajectory(p)
         assert np.array_equal(traj.phase,
                               2.0 * traj.omega0 * ts - traj.omega0 * f), label

@@ -9,7 +9,8 @@ from conftest import CAPTION_APT, CAPTION_PT, count_calls
 from nhqubit import bath, qsl
 from nhqubit.dynamics import (Symmetry, Trajectory, evolve, evolve_apt,
                               evolve_pt)
-from nhqubit.errors import AngleSingularity, GridTooCoarse
+from nhqubit.errors import (AngleSingularity, DegenerateTrajectory,
+                             GridTooCoarse)
 from nhqubit.linalg2 import DensityMatrix
 
 
@@ -26,16 +27,19 @@ def apt_traj(caption_bath):
 def _synthetic_rotation(n=401, t_max=2.0, rate=1.3, amplitude=0.4):
     """Pure phase wobble: |c| constant, gamma identically zero."""
     ts = np.linspace(0.0, t_max, n)
+    c = amplitude * np.exp(1j * rate * ts)
     return Trajectory(
         symmetry=Symmetry.ANTI_PT,
         omega0=1.0,
         times=ts,
         p1=np.full(n, 0.5),
         p2=np.full(n, 0.5),
-        c=amplitude * np.exp(1j * rate * ts),
+        c=c,
         decoherence=np.ones(n),
         phase=rate * ts,
         max_quad_error=0.0,
+        rho0_diag=DensityMatrix(p1=0.5, p2=0.5, c=complex(amplitude)),
+        c_diag=c,
     )
 
 
@@ -76,6 +80,27 @@ class TestLiouvillianNorm:
         traj = _synthetic_rotation(n=2)
         with pytest.raises(GridTooCoarse):
             qsl.liouvillian_norm(traj, 0)
+
+    @pytest.mark.parametrize("t_max, n", [(1e-310, 21), (1e-300, 3)])
+    def test_grid_spacing_below_the_float_range(self, caption_bath, t_max,
+                                                n):
+        """The stencil's denominators round to 0: GridTooCoarse, not NaN."""
+        ts = np.linspace(0.0, t_max, n)
+        traj = evolve_pt(CAPTION_PT, caption_bath, ts)
+        with pytest.raises(GridTooCoarse, match="cannot resolve the grid"):
+            qsl.qsl_series(traj)
+        with pytest.raises(GridTooCoarse):
+            qsl.liouvillian_norm(evolve_apt(CAPTION_APT, caption_bath, ts), 0,
+                                 force_numeric=True)
+
+    def test_grid_spacing_above_the_float_range(self):
+        """Spacings of 2.5e199 overflow the denominators: GridTooCoarse,
+        with no numpy warning."""
+        wide = bath.BathParams(j0=1.0, omega_c=1e-200, mu=0.0, beta=1.0)
+        traj = evolve_pt(CAPTION_PT, wide, np.linspace(0.0, 1e200, 5),
+                         tol=1e300)
+        with pytest.raises(GridTooCoarse, match="cannot resolve the grid"):
+            qsl.qsl_series(traj)
 
     def test_index_bounds(self, pt_traj, apt_traj):
         for traj in (pt_traj, apt_traj):
@@ -148,6 +173,11 @@ class TestTauQsl:
         angle = qsl.bures_angle(traj.states[0], traj.states[-1])
         ref = math.sin(angle) ** 2 / avg
         assert qsl.tau_qsl(traj, 10.0) == pytest.approx(ref, rel=1e-5)
+
+    def test_nan_norms_are_no_motion(self, apt_traj):
+        norms = np.full(len(apt_traj), np.nan)
+        with pytest.raises(DegenerateTrajectory):
+            qsl._tau(apt_traj, qsl._start_angles(apt_traj), norms, 10.0)
 
     def test_horizon_must_be_grid_point(self, apt_traj):
         with pytest.raises(ValueError):
