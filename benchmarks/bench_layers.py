@@ -49,6 +49,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import os
@@ -112,6 +113,15 @@ def stacked_assembly(t_inv, p1, p2, coherences):
     return phys
 
 
+def one_qubit_evolve(dynamics):
+    """dynamics.evolve as a one-qubit call, for checkouts whose evolve
+    takes a list of qubits and returns a list."""
+    evolve = dynamics.evolve
+    if "qubits" not in inspect.signature(evolve).parameters:
+        return evolve
+    return lambda p, *args, **kwargs: evolve([p], *args, **kwargs)[0]
+
+
 def load(src: Path):
     """The nhqubit modules under src, imported afresh."""
     for name in [m for m in sys.modules if m.split(".")[0] == "nhqubit"]:
@@ -151,12 +161,12 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     calls["pt_assembly_201"] = (
         lambda: assemble(t_inv, rho0.p1, rho0.p2, coherences))
 
+    evolve = one_qubit_evolve(dynamics)
     table = bath.Kernels(ts, b)
-    qubits = [qubit, presets.caption_apt()]
-    dynamics.evolve(qubits, b, ts, kernels=table)  # fills the table
-    for label, p in zip(("pt", "apt"), qubits):
+    for label, p in (("pt", qubit), ("apt", presets.caption_apt())):
+        evolve(p, b, ts, kernels=table)  # fills the table
         calls[f"evolve_{label}_201"] = (
-            lambda p=p: dynamics.evolve([p], b, ts, kernels=table))
+            lambda p=p: evolve(p, b, ts, kernels=table))
 
     for name in ("fig_pt_decoherence", "fig_apt_qsl"):
         calls[f"build_{name}"] = (

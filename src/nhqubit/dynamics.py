@@ -13,15 +13,15 @@ on which the entropies are defined (Trajectory.dephasing_frame).
 A Trajectory holds the states as arrays over the time grid; DensityMatrix
 objects are built only on request (Trajectory.states).
 
-evolve() takes a parameter sweep in one bath, as whole-array passes over
-the grid.  gamma(t) and d gamma/dt depend only on the bath and the grid,
+evolve() evolves one qubit in one bath, as whole-array passes over the
+grid.  gamma(t) and d gamma/dt depend only on the bath and the grid,
 and Omega, Omega_1 and d Omega_1/dt are theta times a per-unit-theta
 kernel of the same, so all are read from one bath.Kernels table,
 evaluated at most once there, and the table alone supplies the bath and
-the grid.  Each qubit reads the kernels its class needs and scales the
+the grid.  The qubit reads the kernels its class needs and scales the
 theta-linear ones by its theta.  The table is the call's own unless the
 caller passes one to share across calls, as the presets do.  evolve_pt
-and evolve_apt are one-qubit calls of it.
+and evolve_apt are class-checked calls of it.
 """
 
 from __future__ import annotations
@@ -232,16 +232,6 @@ def _validate_times(times) -> np.ndarray:
     return ts
 
 
-def _require_positive_split(p: QubitParams) -> float:
-    omega0 = split(p).omega0
-    if omega0 <= 0.0:
-        raise BrokenPhase(
-            f"{p.symmetry.value} splitting is zero (exceptional point); "
-            "closed-form evolution requires omega0 > 0"
-        )
-    return omega0
-
-
 def decoherence_function(p: QubitParams, b: BathParams, t: float,
                          tol: float = DEFAULT_TOL) -> float:
     """D(t) = exp(-omega0^2 gamma(t)) with the class-appropriate omega0."""
@@ -300,12 +290,42 @@ def phase_function(p: QubitParams, kernels: bath.Kernels,
     return bath.omega2(kernels.ts, p.theta, kernels.p) - res.value, res
 
 
-def _trajectory(p, omega0, initial, kernels, tol) -> Trajectory:
-    """One trajectory in the bath and on the validated grid of the table
-    kernels: the eigenframe state initial dephases in closed form, and the
-    frame is the only class branch (PT states go to the physical frame
-    through T^-1, Anti-PT ones stay and carry their analytic Liouvillian
-    norm).  Both keep the eigenframe state as rho0_diag and c_diag."""
+def evolve(p: QubitParams, b: BathParams, times,
+           initial: DensityMatrix | None = None, tol: float = DEFAULT_TOL,
+           kernels: bath.Kernels | None = None) -> Trajectory:
+    """The trajectory of qubit p in the bath b on the grid times.
+
+    initial is the eigenframe state at t = 0 (|+> by default).  It dephases
+    in closed form; PT states go to the physical frame through T^-1,
+    Anti-PT ones stay in the eigenframe and carry their analytic
+    Liouvillian norm, and both keep the eigenframe state as rho0_diag and
+    c_diag.
+
+    The kernels come from a new bath.Kernels table unless kernels is
+    given, which must be for the bath b and the grid times (ValueError
+    otherwise); the trajectory's times are the table's grid.  The qubit
+    scales the theta-linear kernels by its theta before the tol check, so
+    its trajectory is the same bit for bit whatever table it reads, and
+    qubits share kernels by sharing one table:
+    [evolve(p, b, ts, kernels=table) for p in sweep].  BrokenPhase at the
+    exceptional point comes first, then the grid and table checks, then
+    the kernel reads (gamma, d gamma/dt for Anti-PT, the phase kernels),
+    all before the arithmetic, which raises DomainError where it
+    overflows or turns invalid.
+    """
+    omega0 = split(p).omega0
+    if omega0 <= 0.0:
+        raise BrokenPhase(
+            f"{p.symmetry.value} splitting is zero (exceptional point); "
+            "closed-form evolution requires omega0 > 0"
+        )
+    ts = _validate_times(times)
+    if kernels is None:
+        kernels = bath.Kernels(ts, b)
+    elif kernels.p != b or not np.array_equal(kernels.ts, ts):
+        raise ValueError("the kernel table is for another bath or time grid")
+    if initial is None:
+        initial = DensityMatrix.plus()
     anti = p.symmetry is Symmetry.ANTI_PT
     ts = kernels.ts
     g = kernels.gamma(tol)
@@ -329,8 +349,13 @@ def _trajectory(p, omega0, initial, kernels, tol) -> Trajectory:
             dphi = 2.0 * omega0 - omega0 * (do2 - do1.value)
             lnorm = np.abs(coherences) * np.hypot(dphi, omega0**2 * dg.value)
         else:
-            phys = _physical_states(np.linalg.inv(transformation_matrix(p)),
-                                    p1, p2, coherences)
+            # T's entries scale as omega0: T / 2^e, with e the exponent of
+            # its largest entry, keeps T^-1 rho_d T^-dagger in range, and
+            # the scale is exact and cancels in the trace division.
+            t = transformation_matrix(p)
+            scale = np.ldexp(1.0, -np.frexp(np.abs(t).max())[1])
+            phys = _physical_states(np.linalg.inv(t * scale), p1, p2,
+                                    coherences)
             p1, p2, c = phys[:, 0, 0].real, phys[:, 1, 1].real, phys[:, 0, 1]
 
     return Trajectory(
@@ -340,40 +365,6 @@ def _trajectory(p, omega0, initial, kernels, tol) -> Trajectory:
         rho0_diag=initial, c_diag=coherences, lnorm_analytic=lnorm)
 
 
-def evolve(qubits, b: BathParams, times, initial: DensityMatrix | None = None,
-           tol: float = DEFAULT_TOL,
-           kernels: bath.Kernels | None = None) -> list[Trajectory]:
-    """Trajectories of a parameter sweep in one bath, in the order given.
-
-    initial is the eigenframe state at t = 0 for both classes (|+> by
-    default); PT trajectories map it to the physical frame, Anti-PT ones
-    stay in the eigenframe.  The kernels come from one bath.Kernels table,
-    a new one unless kernels is given, which must be for the bath b and
-    the grid times (ValueError otherwise).  The table evaluates each
-    kernel at most once.  Each qubit in turn reads what its class needs
-    (gamma, d gamma/dt for Anti-PT, then its phase kernels) and scales the
-    theta-linear ones by its theta before the tol check, so each qubit's
-    trajectory depends on the qubit, the bath, the grid, initial and tol
-    alone: a sweep, one call per qubit and a shared table agree bit for
-    bit, and presets.caption_trajectory relies on that to evolve each
-    caption qubit once and share it.  In a sweep that mixes the classes,
-    a kernel error names the first failing kernel in qubit order, so a
-    PT qubit's Omega can fail before a later Anti-PT qubit's d gamma/dt.
-    A qubit reads all its kernels before its arithmetic, which raises
-    DomainError where it overflows or turns invalid.
-    """
-    omegas = [_require_positive_split(p) for p in qubits]
-    ts = _validate_times(times)
-    if kernels is None:
-        kernels = bath.Kernels(ts, b)
-    elif kernels.p != b or not np.array_equal(kernels.ts, ts):
-        raise ValueError("the kernel table is for another bath or time grid")
-    if initial is None:
-        initial = DensityMatrix.plus()
-    return [_trajectory(p, omega0, initial, kernels, tol)
-            for p, omega0 in zip(qubits, omegas)]
-
-
 def evolve_pt(p: QubitParams, b: BathParams, times,
               rho0_diag: DensityMatrix | None = None,
               tol: float = DEFAULT_TOL) -> Trajectory:
@@ -381,7 +372,7 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
     is mapped back through T^-1, renormalized to unit trace at each time."""
     if p.symmetry is not Symmetry.PT:
         raise ValueError("evolve_pt requires PT-class parameters")
-    return evolve([p], b, times, rho0_diag, tol)[0]
+    return evolve(p, b, times, rho0_diag, tol)
 
 
 def evolve_apt(p: QubitParams, b: BathParams, times,
@@ -391,4 +382,4 @@ def evolve_apt(p: QubitParams, b: BathParams, times,
     damped by D(t) with phase 2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
     if p.symmetry is not Symmetry.ANTI_PT:
         raise ValueError("evolve_apt requires Anti-PT-class parameters")
-    return evolve([p], b, times, rho0, tol)[0]
+    return evolve(p, b, times, rho0, tol)

@@ -67,13 +67,14 @@ _TRAJECTORIES = weakref.WeakKeyDictionary()
 def caption_trajectory(p: QubitParams, tol: float = DEFAULT_TOL) -> Trajectory:
     """The trajectory of qubit p in the caption bath and grid, evolved on
     the caption table at most once per table and tol and shared by every
-    build that asks for it.  evolve gives one qubit the same trajectory
-    bit for bit as any sweep it is part of, so sharing moves no output."""
+    build that asks for it.  evolve gives a qubit the same trajectory bit
+    for bit on any table of its bath and grid, so sharing moves no
+    output."""
     kernels = caption_kernels()
     memo = _TRAJECTORIES.setdefault(kernels, {})
     if (p, tol) not in memo:
-        memo[p, tol] = evolve([p], CAPTION_BATH, kernels.ts, tol=tol,
-                              kernels=kernels)[0]
+        memo[p, tol] = evolve(p, CAPTION_BATH, kernels.ts, tol=tol,
+                              kernels=kernels)
     return memo[p, tol]
 
 

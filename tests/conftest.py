@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
+import oracles
 from nhqubit import bath, presets
 from nhqubit.bath import BathParams
 from nhqubit.dynamics import QubitParams, Symmetry
@@ -84,3 +85,11 @@ def fresh_caption_kernels():
     presets.caption_kernels.cache_clear()
     yield
     presets.caption_kernels.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def shared_oracle_panels():
+    """The oracle integrals of one test share their panel arrays; none
+    outlive the test."""
+    with oracles.shared_panels():
+        yield

@@ -10,6 +10,7 @@ reference value in the tests was produced by these functions.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -36,14 +37,15 @@ def _ramp(u):
     return np.where(u < 1e-3, series, direct)
 
 
-def _kernel(kind, w, t, beta):
-    """Integrand divided by J(omega).  kind: 'gamma', 'phase_ramp',
-    'phase_bounded', 'gamma_t0' (coth replaced by 1), and the time
-    derivatives 'dgamma' and 'dphase_bounded'."""
+def _kernel(kind, w, t, tanh):
+    """Integrand divided by J(omega), with tanh = tanh(beta omega/2) for the
+    thermal kinds.  kind: 'gamma', 'phase_ramp', 'phase_bounded',
+    'gamma_t0' (coth replaced by 1), and the time derivatives 'dgamma' and
+    'dphase_bounded'."""
     if kind == "gamma":
-        return 4.0 * _one_minus_cos(w * t) / w**2 / np.tanh(0.5 * beta * w)
+        return 4.0 * _one_minus_cos(w * t) / w**2 / tanh
     if kind == "dgamma":
-        return 4.0 * np.sin(w * t) / w / np.tanh(0.5 * beta * w)
+        return 4.0 * np.sin(w * t) / w / tanh
     if kind == "dphase_bounded":
         return 4.0 * np.sin(w * t) / w
     if kind == "gamma_t0":
@@ -55,21 +57,59 @@ def _kernel(kind, w, t, beta):
     raise ValueError(kind)
 
 
+# {key: array} while shared_panels() is active, else None.
+_shared = None
+
+
+@contextlib.contextmanager
+def shared_panels():
+    """Share the panel arrays of every integral run inside: the nodes, 2x
+    J(omega) and tanh(beta omega/2), per resolution, bath and temperature.
+    Outside it each integral computes its own and keeps nothing, so a
+    caller that loads this module for one integral holds no memory after
+    it."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _kept(key, compute):
+    """compute(), kept under key while panels are shared."""
+    if _shared is None:
+        return compute()
+    if key not in _shared:
+        _shared[key] = compute()
+    return _shared[key]
+
+
+def _halves(n_panels, w_max):
+    edges = np.linspace(0.0, math.sqrt(w_max), n_panels + 1)
+    return 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+
+
 def _composite_gl(kind, t, j0, omega_c, mu, beta, n_panels, w_max):
     # Integrate in x = sqrt(omega): d omega = 2x dx turns the omega^mu
     # spectral edge into x^(2 mu + 1), regular for mu >= -1/2, so the
     # fixed-panel rule converges at full order.
-    edges = np.linspace(0.0, math.sqrt(w_max), n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    half, mid = _kept(("halves", n_panels, w_max),
+                      lambda: _halves(n_panels, w_max))
     total = 0.0
     chunk = 200_000
     for lo in range(0, n_panels, chunk):
         h = half[lo:lo + chunk, None]
-        x = mid[lo:lo + chunk, None] + h * _GL_NODES[None, :]
+        at = (n_panels, w_max, lo)
+        x = _kept(("x", *at),
+                  lambda: mid[lo:lo + chunk, None] + h * _GL_NODES[None, :])
         w = x**2
-        vals = (2.0 * x * _spectral_density(w, j0, omega_c, mu)
-                * _kernel(kind, w, t, beta))
+        measure = _kept(("2xJ", *at, j0, omega_c, mu),
+                        lambda: 2.0 * x * _spectral_density(w, j0, omega_c,
+                                                            mu))
+        tanh = (_kept(("tanh", *at, beta), lambda: np.tanh(0.5 * beta * w))
+                if kind in ("gamma", "dgamma") else None)
+        vals = measure * _kernel(kind, w, t, tanh)
         total += float(np.sum(h * vals * _GL_WEIGHTS[None, :]))
     return total
 

@@ -187,6 +187,32 @@ class TestCompare:
         assert written == report
         assert set(report) == {"fraction_b_ge_a", "scenario_a", "scenario_b"}
 
+    @pytest.mark.parametrize("xi_b, fraction, ratio", [
+        pytest.param(200.0, 1 / 21, 0.0, id="b-decays-faster"),
+        pytest.param(0.81, 1.0, math.inf, id="b-decays-slower"),
+    ])
+    def test_ordered_where_decoherence_underflows(self, tmp_path, xi_b,
+                                                  fraction, ratio):
+        """PT qubits with xi = 100 and xi_b: D underflows to 0 after t = 0,
+        but the exponents omega0^2 gamma still order them, and the ratio
+        leaves the float range without a warning."""
+        def config(xi):
+            text = (PT_CONFIG.replace("qubit.theta = 0.86", "qubit.theta = 0.5")
+                    .replace("qubit.xi = 0.81", f"qubit.xi = {xi}")
+                    .replace("grid.t_max = 5.0", "grid.t_max = 20.0")
+                    .replace("grid.n_points = 26", "grid.n_points = 21"))
+            return scenario_from_pairs(_parse_pairs(text))
+
+        report = scenario.compare(config(100.0), config(xi_b),
+                                  tmp_path / "cmp")
+        assert report["fraction_b_ge_a"] == fraction
+        data = np.genfromtxt(tmp_path / "cmp" / "compare.csv",
+                             delimiter=",", names=True)
+        assert np.all(data["D_a"][1:] == 0.0)
+        assert data["ratio"][0] == 1.0 and data["b_ge_a"][0] == 1.0
+        assert np.all(data["ratio"][1:] == ratio)
+        assert np.all(data["b_ge_a"][1:] == float(ratio > 1.0))
+
     def test_grid_mismatch(self, pt_config, apt_config, tmp_path):
         other = scenario.load_scenario(apt_config)
         other = Scenario(
@@ -438,6 +464,26 @@ class TestExitCodes:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "floating-point range" in err
+
+    def test_splitting_near_the_float_limit_runs(self, tmp_path, capsys):
+        """A PT qubit with omega0 near 1e154, where T's entries are huge but
+        the states exist, writes physical states for every output."""
+        text = (PT_CONFIG.replace("qubit.theta = 0.86", "qubit.theta = 0.5")
+                .replace("qubit.xi = 0.81", "qubit.xi = 1e154")
+                .replace("qubit.delta = 0.56", "qubit.delta = 0.5")
+                .replace("grid.t_max = 5.0", "grid.t_max = 1e-5")
+                .replace("grid.n_points = 26", "grid.n_points = 21")
+                .replace("decoherence, entropy, qsl",
+                         ", ".join(scenario.OUTPUT_KINDS)))
+        cfg = tmp_path / "large_splitting.cfg"
+        cfg.write_text(text)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        data = np.genfromtxt(tmp_path / "o" / "trajectory.csv",
+                             delimiter=",", names=True)
+        assert np.all(np.abs(data["rho11"] + data["rho22"] - 1.0) <= 1e-12)
+        for column in ("rho11", "rho22"):
+            assert np.all((data[column] >= 0.0) & (data[column] <= 1.0))
 
     def test_io_failure(self, pt_config, tmp_path, capsys):
         blocker = tmp_path / "blocker"

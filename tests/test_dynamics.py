@@ -189,6 +189,13 @@ class TestEvolveSweep:
     FIELDS = ("p1", "p2", "c", "decoherence", "phase", "c_diag",
               "lnorm_analytic")
 
+    def _assert_same(self, one, other):
+        assert other.symmetry is one.symmetry
+        assert other.max_quad_error == one.max_quad_error
+        for field in self.FIELDS:
+            a, b = getattr(one, field), getattr(other, field)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
     def test_matches_single_calls_bitwise(self, caption_bath, monkeypatch):
         pt2 = QubitParams(alpha=1.0, theta=0.4, xi=0.81, delta=0.56,
                           symmetry=Symmetry.PT)
@@ -197,29 +204,23 @@ class TestEvolveSweep:
                    evolve_apt(CAPTION_APT, caption_bath, ts),
                    evolve_pt(pt2, caption_bath, ts)]
         calls = count_evaluations(monkeypatch)
-        sweep = evolve([CAPTION_PT, CAPTION_APT, pt2], caption_bath, ts)
+        table = bath.Kernels(ts, caption_bath)
+        sweep = [evolve(p, caption_bath, ts, kernels=table)
+                 for p in (CAPTION_PT, CAPTION_APT, pt2)]
         assert calls == {"gamma": 1, "gamma_rate": 1, "omega_pt": 1,
                          "omega1": 1, "omega1_rate": 1}
         for one, many in zip(singles, sweep, strict=True):
-            assert many.symmetry is one.symmetry
-            assert many.max_quad_error == one.max_quad_error
-            for field in self.FIELDS:
-                a, b = getattr(one, field), getattr(many, field)
-                assert (a is None and b is None) or np.array_equal(a, b)
+            self._assert_same(one, many)
 
     def test_shared_table_matches_own_table_bitwise(self, caption_bath):
         ts = np.linspace(0.0, 20.0, 201)
         qubits = [CAPTION_PT, CAPTION_APT]
         table = bath.Kernels(ts, caption_bath)
-        shared = [evolve(qubits, caption_bath, ts, kernels=table)
-                  for _ in range(2)]
+        shared = [[evolve(p, caption_bath, ts, kernels=table)
+                   for p in qubits] for _ in range(2)]
         for many in shared:
-            for one, traj in zip(evolve(qubits, caption_bath, ts), many,
-                                 strict=True):
-                assert traj.max_quad_error == one.max_quad_error
-                for field in self.FIELDS:
-                    a, b = getattr(one, field), getattr(traj, field)
-                    assert (a is None and b is None) or np.array_equal(a, b)
+            for p, traj in zip(qubits, many, strict=True):
+                self._assert_same(evolve(p, caption_bath, ts), traj)
 
     @pytest.mark.parametrize("other", [
         pytest.param(dict(beta=0.6), id="bath"),
@@ -233,15 +234,17 @@ class TestEvolveSweep:
                                 beta=other.get("beta", 0.5))
         table = bath.Kernels(other.get("ts", ts), table_bath)
         with pytest.raises(ValueError, match="another bath or time grid"):
-            evolve([CAPTION_PT], caption_bath, ts, kernels=table)
+            evolve(CAPTION_PT, caption_bath, ts, kernels=table)
 
     def test_errors_in_order(self, caption_bath):
+        """The exceptional point is rejected before the grid, then a valid
+        qubit's grid is."""
         exceptional = QubitParams(alpha=1.0, theta=5.0, xi=3.0, delta=4.0,
                                   symmetry=Symmetry.PT)
         with pytest.raises(BrokenPhase):
-            evolve([CAPTION_APT, exceptional], caption_bath, [1.0, 2.0])
+            evolve(exceptional, caption_bath, [1.0, 2.0])
         with pytest.raises(ValueError):
-            evolve([CAPTION_APT, CAPTION_PT], caption_bath, [1.0, 2.0])
+            evolve(CAPTION_PT, caption_bath, [1.0, 2.0])
 
 
 class TestEigenframeRecord:
@@ -273,8 +276,9 @@ class TestEigenframeRecord:
 
     def test_rho0_diag_is_the_initial_state(self, caption_bath):
         rho0 = DensityMatrix.from_expectations(sz=0.3, coherence=0.2 - 0.1j)
-        for traj in evolve([CAPTION_PT, CAPTION_APT], caption_bath,
-                           np.linspace(0.0, 5.0, 11), initial=rho0):
+        for p in (CAPTION_PT, CAPTION_APT):
+            traj = evolve(p, caption_bath, np.linspace(0.0, 5.0, 11),
+                          initial=rho0)
             assert traj.rho0_diag is rho0
 
     def test_phase_function_reads_the_tables_bath(self):

@@ -236,8 +236,8 @@ class TestSeries:
                                    dephasing):
         orders = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 5.5, 6.0,
                   math.inf]
-        trajs = evolve([CAPTION_PT, CAPTION_APT], caption_bath,
-                       np.linspace(0.0, 20.0, 301))
+        trajs = [evolve(p, caption_bath, np.linspace(0.0, 20.0, 301))
+                 for p in (CAPTION_PT, CAPTION_APT)]
         expected = [{q: entropy._entropy(*(traj.dephasing_frame()
                                            if dephasing else
                                            (traj.p1, traj.p2, traj.c)), q)

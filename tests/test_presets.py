@@ -36,16 +36,16 @@ def _assemblies(name: str) -> dict[Symmetry, int]:
 
 
 def count_assemblies(monkeypatch) -> dict[Symmetry, int]:
-    """Wrap dynamics._trajectory so that assemblies are counted per
+    """Wrap the presets' evolve so that assemblies are counted per
     symmetry class; returns the live counts."""
     calls = {PT: 0, APT: 0}
-    assemble = dynamics._trajectory
+    assemble = presets.evolve
 
     def counted(p, *args, **kwargs):
         calls[p.symmetry] += 1
         return assemble(p, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_trajectory", counted)
+    monkeypatch.setattr(presets, "evolve", counted)
     return calls
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nhqubit import entropy, qsl
+from nhqubit import bath, entropy, qsl
 from nhqubit.bath import BathParams
 from nhqubit.dynamics import (QubitParams, Symmetry, evolve, evolve_apt,
                               evolve_pt, split)
@@ -124,6 +124,8 @@ def test_anti_pt_more_robust_iff_smaller_splitting(pt, apt, b, t_max, n):
     w_apt, w_pt = split(apt).omega0, split(pt).omega0
     # Apart by more than rounding, so the ordering is decided.
     assume(abs(w_apt - w_pt) > 1e-6 * max(w_apt, w_pt))
-    traj_apt, traj_pt = evolve([apt, pt], b, np.linspace(0.0, t_max, n))
+    table = bath.Kernels(np.linspace(0.0, t_max, n), b)
+    traj_apt, traj_pt = [evolve(p, b, table.ts, kernels=table)
+                         for p in (apt, pt)]
     robust = bool(np.all(traj_apt.decoherence >= traj_pt.decoherence))
     assert robust == (w_apt <= w_pt)
