@@ -10,9 +10,9 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - gamma and d gamma/dt at n = 31 and 201
 - the unit-theta kernels omega_pt, omega1 and d omega1/dt at n = 201
 - the PT state assembly T^-1 rho_d T^-dagger / tr at n = 201
-- one-qubit dynamics.evolve(..., kernels=table) calls of the caption PT
-  and Anti-PT qubits at n = 201 on a filled table, so each row times the
-  trajectory assembly alone
+- dynamics.evolve(p, table) calls of the caption PT and Anti-PT qubits
+  at n = 201 on a filled table, so each row times the trajectory
+  assembly alone
 - one build each of the presets fig_pt_decoherence and fig_apt_qsl; in a
   checkout whose presets share one kernel table (presets.caption_kernels)
   every timed build finds it filled, as all builds but the first of a
@@ -113,13 +113,13 @@ def stacked_assembly(t_inv, p1, p2, coherences):
     return phys
 
 
-def one_qubit_evolve(dynamics):
-    """dynamics.evolve as a one-qubit call, for checkouts whose evolve
-    takes a list of qubits and returns a list."""
+def table_evolve(dynamics):
+    """dynamics.evolve as evolve(p, table), for checkouts whose evolve
+    takes the bath and the grid beside the table."""
     evolve = dynamics.evolve
-    if "qubits" not in inspect.signature(evolve).parameters:
+    if "times" not in inspect.signature(evolve).parameters:
         return evolve
-    return lambda p, *args, **kwargs: evolve([p], *args, **kwargs)[0]
+    return lambda p, table: evolve(p, table.p, table.ts, kernels=table)
 
 
 def load(src: Path):
@@ -161,12 +161,11 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     calls["pt_assembly_201"] = (
         lambda: assemble(t_inv, rho0.p1, rho0.p2, coherences))
 
-    evolve = one_qubit_evolve(dynamics)
+    evolve = table_evolve(dynamics)
     table = bath.Kernels(ts, b)
     for label, p in (("pt", qubit), ("apt", presets.caption_apt())):
-        evolve(p, b, ts, kernels=table)  # fills the table
-        calls[f"evolve_{label}_201"] = (
-            lambda p=p: evolve(p, b, ts, kernels=table))
+        evolve(p, table)  # fills the table
+        calls[f"evolve_{label}_201"] = lambda p=p: evolve(p, table)
 
     for name in ("fig_pt_decoherence", "fig_apt_qsl"):
         calls[f"build_{name}"] = (

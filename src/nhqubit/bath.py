@@ -363,7 +363,21 @@ def _unwrap(t, out):
 
 def _result(name: str, t, ts, value, err, terms: int, tol: float,
             theta: float = 1.0) -> QuadratureResult:
-    """Scale by theta, enforce tol, and unwrap a scalar time."""
+    """Scale by theta, enforce tol, and unwrap a scalar time.
+    QuadratureDivergence where the scaled value or bound would leave the
+    floating-point range; the peak decides, so in range nothing else is
+    checked."""
+    if abs(theta) > 1.0 and value.size:
+        scale = abs(theta)
+        if not (math.isfinite(float(np.abs(value).max()) * scale)
+                and math.isfinite(float(err.max()) * scale)):
+            with np.errstate(over="ignore"):
+                out = ~(np.isfinite(value * scale) & np.isfinite(err * scale))
+            i = int(np.argmax(out))
+            raise QuadratureDivergence(
+                f"{name} at t={ts[i]}: theta={theta:g} times the unit-theta "
+                f"value {value[i]:.3e} (error bound {err[i]:.3e}) leaves "
+                f"the floating-point range")
     value = value * theta
     err = err * abs(theta)
     bad = ~(np.isfinite(value) & (err <= tol))

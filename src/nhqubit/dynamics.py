@@ -13,15 +13,16 @@ on which the entropies are defined (Trajectory.dephasing_frame).
 A Trajectory holds the states as arrays over the time grid; DensityMatrix
 objects are built only on request (Trajectory.states).
 
-evolve() evolves one qubit in one bath, as whole-array passes over the
-grid.  gamma(t) and d gamma/dt depend only on the bath and the grid,
-and Omega, Omega_1 and d Omega_1/dt are theta times a per-unit-theta
-kernel of the same, so all are read from one bath.Kernels table,
-evaluated at most once there, and the table alone supplies the bath and
-the grid.  The qubit reads the kernels its class needs and scales the
-theta-linear ones by its theta.  The table is the call's own unless the
-caller passes one to share across calls, as the presets do.  evolve_pt
-and evolve_apt are class-checked calls of it.
+evolve(p, table) evolves one qubit on one bath.Kernels table, as
+whole-array passes over the grid.  gamma(t) and d gamma/dt depend only
+on the bath and the grid, and Omega, Omega_1 and d Omega_1/dt are theta
+times a per-unit-theta kernel of the same, so all are read from the
+table, evaluated at most once there, and the table alone supplies the
+bath and the grid.  The qubit reads the kernels its class needs and
+scales the theta-linear ones by its theta.  Calls share kernels by
+sharing a table, as the presets do.  evolve_pt and evolve_apt take a
+bath and a grid, the only such entry point here: they are evolve on a
+new table of them, after a class check.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def transformation_matrix(p: QubitParams) -> np.ndarray:
     )
 
 
-def _validate_times(times) -> np.ndarray:
+def _validate_times(times) -> None:
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or len(ts) == 0:
         raise ValueError("times must be a non-empty 1-D grid")
@@ -229,16 +230,6 @@ def _validate_times(times) -> np.ndarray:
         raise ValueError("time grid must start at 0")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    return ts
-
-
-def decoherence_function(p: QubitParams, b: BathParams, t: float,
-                         tol: float = DEFAULT_TOL) -> float:
-    """D(t) = exp(-omega0^2 gamma(t)) with the class-appropriate omega0."""
-    omega0 = split(p).omega0
-    if omega0 == 0.0:
-        return 1.0
-    return math.exp(-(omega0**2) * bath.gamma(t, b, tol).value)
 
 
 def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
@@ -290,28 +281,27 @@ def phase_function(p: QubitParams, kernels: bath.Kernels,
     return bath.omega2(kernels.ts, p.theta, kernels.p) - res.value, res
 
 
-def evolve(p: QubitParams, b: BathParams, times,
-           initial: DensityMatrix | None = None, tol: float = DEFAULT_TOL,
-           kernels: bath.Kernels | None = None) -> Trajectory:
-    """The trajectory of qubit p in the bath b on the grid times.
+def evolve(p: QubitParams, kernels: bath.Kernels,
+           initial: DensityMatrix | None = None,
+           tol: float = DEFAULT_TOL) -> Trajectory:
+    """The trajectory of qubit p in the bath and on the grid of the
+    bath.Kernels table kernels.
 
     initial is the eigenframe state at t = 0 (|+> by default).  It dephases
     in closed form; PT states go to the physical frame through T^-1,
     Anti-PT ones stay in the eigenframe and carry their analytic
     Liouvillian norm, and both keep the eigenframe state as rho0_diag and
-    c_diag.
+    c_diag.  The trajectory's times are the table's grid.
 
-    The kernels come from a new bath.Kernels table unless kernels is
-    given, which must be for the bath b and the grid times (ValueError
-    otherwise); the trajectory's times are the table's grid.  The qubit
-    scales the theta-linear kernels by its theta before the tol check, so
-    its trajectory is the same bit for bit whatever table it reads, and
-    qubits share kernels by sharing one table:
-    [evolve(p, b, ts, kernels=table) for p in sweep].  BrokenPhase at the
-    exceptional point comes first, then the grid and table checks, then
-    the kernel reads (gamma, d gamma/dt for Anti-PT, the phase kernels),
-    all before the arithmetic, which raises DomainError where it
-    overflows or turns invalid.
+    The qubit scales the theta-linear kernels by its theta before the tol
+    check, so its trajectory is the same bit for bit whatever table of its
+    bath and grid it reads, and qubits share kernels by sharing one table:
+    [evolve(p, table) for p in sweep].  BrokenPhase at the exceptional
+    point comes first, then ValueError unless the table's grid is a
+    non-empty 1-D grid starting at 0 and strictly increasing, then the
+    kernel reads (gamma, d gamma/dt for Anti-PT, the phase kernels), all
+    before the arithmetic, which raises DomainError where it overflows or
+    turns invalid.
     """
     omega0 = split(p).omega0
     if omega0 <= 0.0:
@@ -319,11 +309,7 @@ def evolve(p: QubitParams, b: BathParams, times,
             f"{p.symmetry.value} splitting is zero (exceptional point); "
             "closed-form evolution requires omega0 > 0"
         )
-    ts = _validate_times(times)
-    if kernels is None:
-        kernels = bath.Kernels(ts, b)
-    elif kernels.p != b or not np.array_equal(kernels.ts, ts):
-        raise ValueError("the kernel table is for another bath or time grid")
+    _validate_times(kernels.t)
     if initial is None:
         initial = DensityMatrix.plus()
     anti = p.symmetry is Symmetry.ANTI_PT
@@ -368,18 +354,25 @@ def evolve(p: QubitParams, b: BathParams, times,
 def evolve_pt(p: QubitParams, b: BathParams, times,
               rho0_diag: DensityMatrix | None = None,
               tol: float = DEFAULT_TOL) -> Trajectory:
-    """PT trajectory: the diagonal-frame state dephases in closed form and
-    is mapped back through T^-1, renormalized to unit trace at each time."""
+    """PT trajectory of p in the bath b on the grid times: evolve on a new
+    table of them, after the class check (ValueError).  The table rejects
+    a grid that is not finite, non-negative and at most 1-D (DomainError)
+    before evolve's checks.  The diagonal-frame state dephases in closed
+    form and is mapped back through T^-1, renormalized to unit trace at
+    each time."""
     if p.symmetry is not Symmetry.PT:
         raise ValueError("evolve_pt requires PT-class parameters")
-    return evolve(p, b, times, rho0_diag, tol)
+    return evolve(p, bath.Kernels(times, b), rho0_diag, tol)
 
 
 def evolve_apt(p: QubitParams, b: BathParams, times,
                rho0: DensityMatrix | None = None,
                tol: float = DEFAULT_TOL) -> Trajectory:
-    """Anti-PT trajectory in the eigenframe: populations frozen, coherence
-    damped by D(t) with phase 2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
+    """Anti-PT trajectory of p in the bath b on the grid times: evolve on a
+    new table of them, after the class check (ValueError), with the same
+    grid checks as evolve_pt.  In the eigenframe the populations stay
+    frozen and the coherence is damped by D(t) with phase
+    2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
     if p.symmetry is not Symmetry.ANTI_PT:
         raise ValueError("evolve_apt requires Anti-PT-class parameters")
-    return evolve(p, b, times, rho0, tol)
+    return evolve(p, bath.Kernels(times, b), rho0, tol)

@@ -65,16 +65,15 @@ _TRAJECTORIES = weakref.WeakKeyDictionary()
 
 
 def caption_trajectory(p: QubitParams, tol: float = DEFAULT_TOL) -> Trajectory:
-    """The trajectory of qubit p in the caption bath and grid, evolved on
-    the caption table at most once per table and tol and shared by every
-    build that asks for it.  evolve gives a qubit the same trajectory bit
-    for bit on any table of its bath and grid, so sharing moves no
-    output."""
+    """The trajectory of qubit p in the caption bath and grid: evolve(p,
+    caption_kernels(), tol=tol), at most once per table and tol, shared by
+    every build that asks for it.  evolve gives a qubit the same
+    trajectory bit for bit on any table of its bath and grid, so sharing
+    moves no output."""
     kernels = caption_kernels()
     memo = _TRAJECTORIES.setdefault(kernels, {})
     if (p, tol) not in memo:
-        memo[p, tol] = evolve(p, CAPTION_BATH, kernels.ts, tol=tol,
-                              kernels=kernels)
+        memo[p, tol] = evolve(p, kernels, tol=tol)
     return memo[p, tol]
 
 

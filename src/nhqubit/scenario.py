@@ -87,9 +87,7 @@ class Scenario:
         return bath.Kernels(self.times, self.bath)
 
     def evolve(self) -> Trajectory:
-        kernels = self.kernels()
-        return evolve(self.qubit, self.bath, kernels.ts, self.initial,
-                      self.tol, kernels)
+        return evolve(self.qubit, self.kernels(), self.initial, self.tol)
 
     def describe(self) -> dict:
         return {
@@ -294,17 +292,23 @@ def run(scenario: Scenario, outdir) -> dict:
         if "entropy" in scenario.outputs:
             table = entropy.entropy_series(traj, scenario.entropy_orders)
             tables["entropy"] = (
-                ["t"] + ["S_inf" if math.isinf(q) else f"S_{q:g}"
-                         for q in table],
+                ["t"] + [f"S_{_order_name(q)}" for q in table],
                 [ts, *table.values()], err)
     return emit(outdir, tables, **fields)
+
+
+def _order_name(q: float) -> str:
+    """q in its :g form where that reads back as q, else in full, so that
+    distinct Renyi orders name distinct columns."""
+    short = f"{q:g}"
+    return short if float(short) == q else repr(float(q))
 
 
 def _damping_exponent(s: Scenario) -> tuple[Trajectory, np.ndarray]:
     """The trajectory of s and its damping exponent omega0^2 gamma, so
     that D = exp(-exponent), with gamma read from the table it evolved on."""
     kernels = s.kernels()
-    traj = evolve(s.qubit, s.bath, kernels.ts, s.initial, s.tol, kernels)
+    traj = evolve(s.qubit, kernels, s.initial, s.tol)
     return traj, traj.omega0**2 * kernels.gamma(s.tol).value
 
 

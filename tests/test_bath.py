@@ -202,6 +202,27 @@ class TestKernels:
             assert str(got.value).startswith(f"{name} at t=")
             assert f"> tol {tol:.3e}" in str(got.value)
 
+    @pytest.mark.parametrize("name", ["omega_pt", "omega1", "omega1_rate"])
+    def test_theta_beyond_float_range_raises(self, caption_bath, name):
+        """A theta that scales a kernel out of the float range raises,
+        naming the kernel, the time and theta, with no numpy warning and
+        whatever the tol; in range the scaling keeps its bits."""
+        ts = np.linspace(0.0, 20.0, 21)
+        public = self.PUBLIC[name]
+        for tol in (bath.DEFAULT_TOL, 1e300, np.inf):
+            with pytest.raises(QuadratureDivergence) as got:
+                public(ts, 1e308, caption_bath, tol)
+            message = str(got.value)
+            assert message.startswith(f"{name} at t=")
+            assert "theta=1e+308" in message
+            assert "floating-point range" in message
+        unit = public(ts, 1.0, caption_bath, np.inf)
+        big = public(ts, -1e300, caption_bath, np.inf)
+        assert np.array_equal(big.value, unit.value * -1e300)
+        assert np.array_equal(big.abs_error, unit.abs_error * 1e300)
+        empty = public(np.array([]), 1e308, caption_bath)
+        assert empty.value.shape == empty.abs_error.shape == (0,)
+
 
 class TestOmega2:
     def test_closed_form_ohmic(self):

@@ -137,6 +137,18 @@ class TestRun:
         assert manifest["files"] == {}
         assert list(out.iterdir()) == [out / "manifest.json"]
 
+    def test_entropy_headers_name_distinct_orders(self, tmp_path):
+        """Orders that :g rounds together get their full repr; the rest
+        keep their :g names."""
+        text = PT_CONFIG.replace(
+            "outputs = decoherence, entropy, qsl",
+            "outputs = entropy\n"
+            "entropy.orders = 0, 0.5, 1, 1.0000001, 2.0000004, 2, 3, inf")
+        scenario.run(scenario_from_pairs(_parse_pairs(text)), tmp_path)
+        header = (tmp_path / "entropy.csv").read_text().splitlines()[0]
+        assert header == ("t,S_0,S_0.5,S_1,S_1.0000001,S_2.0000004,S_2,S_3,"
+                          "S_inf")
+
     def test_csv_is_byte_deterministic(self, pt_config, tmp_path):
         sc = load_scenario(pt_config)
         blobs = []
@@ -464,6 +476,28 @@ class TestExitCodes:
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "floating-point range" in err
+
+    @pytest.mark.parametrize("tol", [None, "1e300"])
+    def test_theta_outside_the_float_range(self, tmp_path, capsys, tol):
+        """An Anti-PT theta (not in the splitting) that scales Omega_1 out
+        of the float range exits 4 with one error line naming the kernel,
+        the time and theta, not a numpy warning or a bound claim."""
+        text = (PT_CONFIG.replace("= PT", "= AntiPT")
+                .replace("qubit.theta = 0.86", "qubit.theta = 1e308")
+                .replace("grid.t_max = 5.0", "grid.t_max = 20.0")
+                .replace("grid.n_points = 26", "grid.n_points = 21")
+                .replace("decoherence, entropy, qsl",
+                         ", ".join(scenario.OUTPUT_KINDS)))
+        cfg = tmp_path / "huge_theta.cfg"
+        cfg.write_text(text)
+        argv = ["run", str(cfg), "--out", str(tmp_path / "o")]
+        if tol is not None:
+            argv += ["--tol", tol]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [err[0]] and err[0].startswith(
+            "error: omega1 at t=2.0: theta=1e+308 ")
+        assert "floating-point range" in err[0]
 
     def test_splitting_near_the_float_limit_runs(self, tmp_path, capsys):
         """A PT qubit with omega0 near 1e154, where T's entries are huge but

@@ -12,7 +12,6 @@ from nhqubit.dynamics import (
     Symmetry,
     build_hamiltonian,
     check_symmetry,
-    decoherence_function,
     evolve,
     evolve_apt,
     evolve_pt,
@@ -205,8 +204,7 @@ class TestEvolveSweep:
                    evolve_pt(pt2, caption_bath, ts)]
         calls = count_evaluations(monkeypatch)
         table = bath.Kernels(ts, caption_bath)
-        sweep = [evolve(p, caption_bath, ts, kernels=table)
-                 for p in (CAPTION_PT, CAPTION_APT, pt2)]
+        sweep = [evolve(p, table) for p in (CAPTION_PT, CAPTION_APT, pt2)]
         assert calls == {"gamma": 1, "gamma_rate": 1, "omega_pt": 1,
                          "omega1": 1, "omega1_rate": 1}
         for one, many in zip(singles, sweep, strict=True):
@@ -216,35 +214,39 @@ class TestEvolveSweep:
         ts = np.linspace(0.0, 20.0, 201)
         qubits = [CAPTION_PT, CAPTION_APT]
         table = bath.Kernels(ts, caption_bath)
-        shared = [[evolve(p, caption_bath, ts, kernels=table)
-                   for p in qubits] for _ in range(2)]
+        shared = [[evolve(p, table) for p in qubits] for _ in range(2)]
         for many in shared:
             for p, traj in zip(qubits, many, strict=True):
-                self._assert_same(evolve(p, caption_bath, ts), traj)
-
-    @pytest.mark.parametrize("other", [
-        pytest.param(dict(beta=0.6), id="bath"),
-        pytest.param(dict(ts=np.linspace(0.0, 20.0, 202)), id="grid-size"),
-        pytest.param(dict(ts=np.linspace(0.0, 21.0, 201)), id="grid-values"),
-    ])
-    def test_table_for_another_bath_or_grid_rejected(self, caption_bath,
-                                                     other):
-        ts = np.linspace(0.0, 20.0, 201)
-        table_bath = BathParams(j0=1.0, omega_c=1.0, mu=-0.5,
-                                beta=other.get("beta", 0.5))
-        table = bath.Kernels(other.get("ts", ts), table_bath)
-        with pytest.raises(ValueError, match="another bath or time grid"):
-            evolve(CAPTION_PT, caption_bath, ts, kernels=table)
+                self._assert_same(
+                    evolve(p, bath.Kernels(ts, caption_bath)), traj)
 
     def test_errors_in_order(self, caption_bath):
         """The exceptional point is rejected before the grid, then a valid
         qubit's grid is."""
         exceptional = QubitParams(alpha=1.0, theta=5.0, xi=3.0, delta=4.0,
                                   symmetry=Symmetry.PT)
+        table = bath.Kernels([1.0, 2.0], caption_bath)
         with pytest.raises(BrokenPhase):
-            evolve(exceptional, caption_bath, [1.0, 2.0])
+            evolve(exceptional, table)
         with pytest.raises(ValueError):
-            evolve(CAPTION_PT, caption_bath, [1.0, 2.0])
+            evolve(CAPTION_PT, table)
+
+    @pytest.mark.parametrize("grid", [[1.0, 2.0], [0.0, 2.0, 1.0], 0.0],
+                             ids=["late-start", "not-increasing", "scalar"])
+    def test_grid_check_reads_the_tables_grid(self, caption_bath,
+                                              monkeypatch, grid):
+        """evolve checks the grid the table was built on, after the
+        exceptional point and before any kernel is evaluated."""
+        exceptional = QubitParams(alpha=1.0, theta=5.0, xi=3.0, delta=4.0,
+                                  symmetry=Symmetry.PT)
+        table = bath.Kernels(grid, caption_bath)
+        calls = count_evaluations(monkeypatch)
+        with pytest.raises(BrokenPhase):
+            evolve(exceptional, table)
+        for p in (CAPTION_PT, CAPTION_APT):
+            with pytest.raises(ValueError):
+                evolve(p, table)
+        assert calls == {}
 
 
 class TestEigenframeRecord:
@@ -277,8 +279,8 @@ class TestEigenframeRecord:
     def test_rho0_diag_is_the_initial_state(self, caption_bath):
         rho0 = DensityMatrix.from_expectations(sz=0.3, coherence=0.2 - 0.1j)
         for p in (CAPTION_PT, CAPTION_APT):
-            traj = evolve(p, caption_bath, np.linspace(0.0, 5.0, 11),
-                          initial=rho0)
+            traj = evolve(p, bath.Kernels(np.linspace(0.0, 5.0, 11),
+                                          caption_bath), initial=rho0)
             assert traj.rho0_diag is rho0
 
     def test_phase_function_reads_the_tables_bath(self):
@@ -383,7 +385,7 @@ class TestPTAssembly:
 
 class TestDecoherenceFunction:
     def test_matches_trajectory(self, caption_bath):
-        d = decoherence_function(CAPTION_PT, caption_bath, 1.0)
+        d = evolve_pt(CAPTION_PT, caption_bath, [0.0, 1.0]).decoherence[1]
         assert d == pytest.approx(
             math.exp(-CAPTION_PT.splitting_squared() * GAMMA_T1), rel=1e-9
         )

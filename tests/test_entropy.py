@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CAPTION_APT, CAPTION_PT, count_calls, random_state
-from nhqubit import entropy
+from nhqubit import bath, entropy
 from nhqubit.dynamics import evolve, evolve_apt
 from nhqubit.errors import DomainError
 from nhqubit.linalg2 import DensityMatrix
@@ -236,8 +236,8 @@ class TestSeries:
                                    dephasing):
         orders = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 5.5, 6.0,
                   math.inf]
-        trajs = [evolve(p, caption_bath, np.linspace(0.0, 20.0, 301))
-                 for p in (CAPTION_PT, CAPTION_APT)]
+        table = bath.Kernels(np.linspace(0.0, 20.0, 301), caption_bath)
+        trajs = [evolve(p, table) for p in (CAPTION_PT, CAPTION_APT)]
         expected = [{q: entropy._entropy(*(traj.dephasing_frame()
                                            if dephasing else
                                            (traj.p1, traj.p2, traj.c)), q)

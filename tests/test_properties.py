@@ -125,7 +125,6 @@ def test_anti_pt_more_robust_iff_smaller_splitting(pt, apt, b, t_max, n):
     # Apart by more than rounding, so the ordering is decided.
     assume(abs(w_apt - w_pt) > 1e-6 * max(w_apt, w_pt))
     table = bath.Kernels(np.linspace(0.0, t_max, n), b)
-    traj_apt, traj_pt = [evolve(p, b, table.ts, kernels=table)
-                         for p in (apt, pt)]
+    traj_apt, traj_pt = [evolve(p, table) for p in (apt, pt)]
     robust = bool(np.all(traj_apt.decoherence >= traj_pt.decoherence))
     assert robust == (w_apt <= w_pt)

@@ -227,7 +227,7 @@ class TestRecord:
     @pytest.mark.parametrize("case", CASES)
     def test_one_evaluation_per_trajectory(self, caption_bath, monkeypatch,
                                            case):
-        traj = evolve(CASES[case], caption_bath, GRID)
+        traj = evolve(CASES[case], bath.Kernels(GRID, caption_bath))
         calls = count_calls(monkeypatch, qsl, "_angles", "_norms")
         qsl.qsl_series(traj)
         for h in HORIZONS:
@@ -243,11 +243,11 @@ class TestRecord:
 
     @pytest.mark.parametrize("case", CASES)
     def test_reuse_matches_fresh_trajectory_bitwise(self, caption_bath, case):
-        reused = evolve(CASES[case], caption_bath, GRID)
+        reused = evolve(CASES[case], bath.Kernels(GRID, caption_bath))
         qsl.liouvillian_norm(reused, 7)  # fill the norms before the angles
         first = _all_calls(reused)
         again = _all_calls(reused)
-        fresh = _all_calls(evolve(CASES[case], caption_bath, GRID))
+        fresh = _all_calls(evolve(CASES[case], bath.Kernels(GRID, caption_bath)))
         _assert_bitwise(first, fresh)
         _assert_bitwise(again, fresh)
 
@@ -268,7 +268,7 @@ class TestRecord:
     @pytest.mark.parametrize("case", CASES)
     def test_arrays_are_read_only(self, caption_bath, case):
         grid = GRID.copy()
-        traj = evolve(CASES[case], caption_bath, grid)
+        traj = evolve(CASES[case], bath.Kernels(grid, caption_bath))
         series = qsl.qsl_series(traj)
         for array in (traj.times, traj.p1, traj.p2, traj.c,
                       traj.decoherence, traj.phase, series.bures_angle,
@@ -282,7 +282,7 @@ class TestRecord:
     def test_fields_cannot_be_reassigned(self, caption_bath, case):
         """A trajectory may be shared (the presets share theirs), so no
         field can be rebound; the record is still filled in place."""
-        traj = evolve(CASES[case], caption_bath, GRID)
+        traj = evolve(CASES[case], bath.Kernels(GRID, caption_bath))
         for f in dataclasses.fields(traj):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(traj, f.name, getattr(traj, f.name))
