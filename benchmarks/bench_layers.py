@@ -24,7 +24,12 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
   caption qubit once
 - presets.run_preset for all 13 presets from a cold kernel table, into a
   temporary directory: the builds plus the CSV and manifest writing
-- scenario.write_csv on a 201 x 8 table
+- scenario.write_csv on a 201 x 8 table of distinct values (a time column
+  and seven sines), where no cell repeats the one above it or an earlier
+  column: the bypass of the writer's run and repeated-column paths
+- scenario.write_csv of the 13 preset tables, built once untimed: the
+  saturated curves repeat 56% of their cells, so this row times the run
+  and repeated-column paths
 - qsl.qsl_series plus qsl.tau_qsl at 10 horizons, on the caption PT and
   Anti-PT qubits at n = 301 (the analysis workload's grid), each call on
   a fresh dataclasses.replace copy of the trajectory, so no call finds
@@ -194,6 +199,14 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     columns = [ts] + [np.sin((j + 1) * ts) for j in range(7)]
     calls["write_csv_201x8"] = (
         lambda: scenario.write_csv(csv_path, header, columns))
+    tables = [preset.build(bath.DEFAULT_TOL)[:2]
+              for preset in presets.PRESETS.values()]
+
+    def write_presets():
+        for header, columns in tables:
+            scenario.write_csv(csv_path, header, columns)
+
+    calls["write_csv_presets_13"] = write_presets
 
     grid = np.linspace(0.0, 20.0, 301)
     horizons = grid[30::30]

@@ -408,10 +408,16 @@ class Kernels:
     theta, tol), are held per unit theta and each call scales the value by
     theta and the bound by |theta| before the tol check.  Each result is
     the public kernel's, bit for bit, however many calls share the table.
+    The table keeps its own read-only copy of the grid, so a caller that
+    changes its array later changes no kernel, time or grid check.
     """
 
     def __init__(self, t, p: BathParams):
-        self.t, self.ts, self.p = t, _times(t), p
+        self.ts = _times(t).copy()
+        self.ts.flags.writeable = False
+        # A scalar t stays a scalar, whose results unwrap to floats.
+        self.t = self.ts if np.ndim(t) else float(self.ts[0])
+        self.p = p
         self._raw = {}
 
     def _evaluated(self, name: str):

@@ -54,9 +54,7 @@ def caption_kernels() -> bath.Kernels:
     """The kernel table of the caption bath on linspace(0, T_MAX,
     N_POINTS), shared by every build in the process.  Its grid is
     read-only, as every build's time column and trajectories share it."""
-    ts = np.linspace(0.0, T_MAX, N_POINTS)
-    ts.flags.writeable = False
-    return bath.Kernels(ts, CAPTION_BATH)
+    return bath.Kernels(np.linspace(0.0, T_MAX, N_POINTS), CAPTION_BATH)
 
 
 # Per caption table: {(qubit, tol): trajectory}.  Weak keys, so a table

@@ -26,6 +26,9 @@ run and presets.run_preset write through emit (one CSV per table plus
 manifest.json); compare writes compare.json with the same write_json.
 Numeric CSV cells use repr(), the shortest round-trip decimal form, and
 JSON keys are sorted, so identical runs produce byte-identical files.
+write_csv formats each run of equal values in a column, and each column
+equal to an earlier one of the same file, once: saturated curves (D
+underflowed to 0, S_q at ln 2) repeat most of their cells.
 """
 
 from __future__ import annotations
@@ -68,9 +71,11 @@ class Scenario:
             raise ConfigError("grid.n_points must be at least 3")
         if not self.t_max > 0:
             raise ConfigError("grid.t_max must be positive")
-        for q in self.entropy_orders:
+        for i, q in enumerate(self.entropy_orders):
             if not q >= 0:
                 raise ConfigError(f"entropy order must be >= 0, got {q}")
+            if q in self.entropy_orders[:i]:
+                raise ConfigError(f"entropy order {q} is repeated")
         for out in self.outputs:
             if out not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {out!r}")
@@ -229,13 +234,38 @@ def load_scenario(path) -> Scenario:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Columns written with shortest round-trip decimals; byte-deterministic.
-    Columns of different lengths raise ValueError."""
-    cells = [map(repr, np.asarray(col, dtype=float).tolist())
-             for col in columns]
+    """Columns written with shortest round-trip decimals, the repr of each
+    float64 cell; byte-deterministic.  Each run of equal values in a column,
+    and each column equal to an earlier one, is formatted once: equal bits
+    give equal text.  Columns of different lengths raise ValueError before
+    the file is opened."""
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("columns of different lengths: "
+                         f"{[len(col) for col in columns]}")
+    formatted: dict[bytes, list[str]] = {}
+    cells = []
+    for col in columns:
+        key = col.tobytes()
+        if key not in formatted:
+            formatted[key] = _formatted(col)
+        cells.append(formatted[key])
+    rows = map(",".join, zip(*cells))
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        fh.write("\n".join([",".join(header), *rows, ""]))
+
+
+def _formatted(col: np.ndarray) -> list[str]:
+    """repr of each value of col, made once per run of equal bit patterns,
+    so 0.0 and -0.0, and NaNs of different payloads, stay apart.  A column
+    without a run pays one neighbour comparison and no run bookkeeping."""
+    bits = col.view(np.int64)
+    changed = bits[1:] != bits[:-1]
+    if changed.all():
+        return list(map(repr, col.tolist()))
+    first = np.concatenate(([True], changed))
+    text = np.array(list(map(repr, col[first].tolist())), dtype=object)
+    return text[first.cumsum() - 1].tolist()
 
 
 def write_json(path: Path, obj) -> None:

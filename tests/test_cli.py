@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhqubit import bath, cli, scenario
 from nhqubit.errors import ConfigError, GridMismatch
@@ -168,6 +170,25 @@ class TestRun:
         assert blobs[0] == blobs[1]
 
 
+def _nans(*payloads):
+    """Quiet NaNs with the given payloads, distinct bit patterns."""
+    return list(np.array([0x7FF8000000000000 + k for k in payloads],
+                         dtype=np.int64).view(float))
+
+
+def _reference_csv(header, columns) -> bytes:
+    """The CSV as the repr of each cell, row by row."""
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row)
+                                  for row in zip(*columns, strict=True)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Values that make runs of equal cells, and runs whose cells are equal as
+# floats but not as bits.
+RUN_POOL = [0.0, -0.0, math.nan, *_nans(1), math.inf, -math.inf, 5e-324,
+            0.5, math.log(2), 1e16]
+
+
 class TestWriteCsv:
     VALUES = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e16, 1e-5, 0.1,
               5e-324]
@@ -178,14 +199,47 @@ class TestWriteCsv:
         listed = list(reversed(self.VALUES))
         path = tmp_path / "g.csv"
         scenario.write_csv(path, ["i", "x", "y"], [ints, floats, listed])
-        lines = ["i,x,y"] + [",".join(repr(float(v)) for v in row)
-                             for row in zip(ints, floats, listed)]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert path.read_bytes() == _reference_csv(["i", "x", "y"],
+                                                   [ints, floats, listed])
+
+        # Runs: 0.0 beside -0.0, NaNs of two payloads, inf and -inf.
+        runs = np.array([0.0, 0.0, -0.0, -0.0, 0.0, *_nans(0, 0, 5, 5, 0),
+                         math.inf, math.inf, -math.inf, -math.inf, math.inf])
+        ramp = np.linspace(0.0, 1.0, len(runs))
+        columns = [ramp, runs, runs, runs.copy(), -runs, ramp]
+        header = ["t", "a", "same", "copy", "neg", "t2"]
+        scenario.write_csv(path, header, columns)
+        assert path.read_bytes() == _reference_csv(header, columns)
+
+        empty = [np.zeros(0), np.zeros(0)]
+        scenario.write_csv(path, ["a", "b"], empty)
+        assert path.read_bytes() == b"a,b\n"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n_rows=st.integers(0, 50),
+           n_columns=st.integers(1, 6))
+    def test_runs_and_repeats_match_repr(self, tmp_path_factory, data,
+                                         n_rows, n_columns):
+        """Whatever runs and repeated columns a table has, its bytes are
+        the repr of every cell."""
+        value = st.one_of(st.sampled_from(RUN_POOL), st.floats())
+        columns = []
+        for _ in range(n_columns):
+            if columns and data.draw(st.booleans()):
+                columns.append(data.draw(st.sampled_from(columns)))
+            else:
+                columns.append(np.array(data.draw(
+                    st.lists(value, min_size=n_rows, max_size=n_rows))))
+        header = [f"c{j}" for j in range(n_columns)]
+        path = tmp_path_factory.getbasetemp() / "runs.csv"
+        scenario.write_csv(path, header, columns)
+        assert path.read_bytes() == _reference_csv(header, columns)
 
     def test_short_column_raises(self, tmp_path):
+        path = tmp_path / "s.csv"
         with pytest.raises(ValueError):
-            scenario.write_csv(tmp_path / "s.csv", ["a", "b"],
-                               [np.zeros(3), np.zeros(2)])
+            scenario.write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)])
+        assert not path.exists()
 
 
 class TestCompare:
@@ -314,6 +368,9 @@ class TestExitCodes:
                      id="tol-negative"),
         pytest.param("grid.t_max = 5.0", "grid.t_max = 5.0\ntol = 0",
                      id="tol-zero"),
+        pytest.param("outputs = decoherence, entropy, qsl",
+                     "outputs = entropy\nentropy.orders = 1, 2, 1.0",
+                     id="repeated-order"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, old, new):
         cfg = tmp_path / "bad.cfg"

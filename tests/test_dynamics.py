@@ -248,6 +248,20 @@ class TestEvolveSweep:
                 evolve(p, table)
         assert calls == {}
 
+    @pytest.mark.parametrize("p", [CAPTION_PT, CAPTION_APT],
+                             ids=["pt", "apt"])
+    def test_table_keeps_its_own_grid(self, caption_bath, p):
+        """Changing the caller's grid array after the table is built
+        changes neither the table's grid nor the trajectories it gives."""
+        ts = np.linspace(0.0, 20.0, 201)
+        table = bath.Kernels(ts, caption_bath)
+        before = evolve(p, table)
+        ts *= 2
+        after = evolve(p, table)
+        assert np.array_equal(after.times, np.linspace(0.0, 20.0, 201))
+        self._assert_same(before, after)
+        assert not table.ts.flags.writeable
+
 
 class TestEigenframeRecord:
     """Every trajectory keeps the eigenframe state it was assembled from,
