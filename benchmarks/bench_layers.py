@@ -37,10 +37,17 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - entropy.entropy_series over 12 orders on both of those trajectories
 - Trajectory.dephasing_frame() of that PT trajectory: the eigenframe
   states the entropies are defined on
+- cli_first_run and cli_second_run: the first and the second
+  cli.main(["run", CONFIG, "--out", DIR]) of a fresh interpreter, on a
+  31-point decoherence-and-phase config of the caption PT qubit, as the
+  medians over PROCESSES interpreters per checkout.  Each interpreter is
+  started with PYTHONPATH=SRC and PYTHONDONTWRITEBYTECODE=1, as nhbench's
+  workers are, and the checkouts alternate.  These rows see what the
+  in-process rows cannot: a cost paid once per process
 
 Each LABEL=SRC argument imports the nhqubit package found in SRC, so one
-copy of this script measures any checkouts side by side.  Each quantity
-is run once untimed, then timed in 7 samples of as many back-to-back
+copy of this script measures any checkouts side by side.  Each in-process
+quantity is run once untimed, then timed in 7 samples of as many back-to-back
 calls as fill 20 ms; the best sample is kept.  Sample r of every
 quantity and checkout runs before sample r + 1 of any, the checkouts in
 alternating order, so a spell of slow host spreads over all of them.
@@ -59,6 +66,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -69,6 +77,39 @@ import numpy as np
 
 REPEATS = 7
 SAMPLE_S = 0.02
+PROCESSES = 20
+
+# Run by each fresh interpreter: it prints the wall times, in s, of its
+# first and its second cli.main call.
+FIRST_RUN = """\
+import sys, time
+from nhqubit import cli
+config, out = sys.argv[1:]
+times = []
+for k in range(2):
+    start = time.perf_counter()
+    code = cli.main(["run", config, "--out", f"{out}/{k}"])
+    times.append(time.perf_counter() - start)
+    if code != 0:
+        sys.exit(f"cli.main exited {code}")
+print(*times)
+"""
+
+FIRST_RUN_CONFIG = """\
+qubit.symmetry = PT
+qubit.alpha = 1.0
+qubit.theta = 0.86
+qubit.xi = 0.81
+qubit.delta = 0.56
+bath.j0 = 1.0
+bath.omega_c = 1.0
+bath.mu = -0.5
+bath.beta = 0.5
+initial.state = plus
+grid.t_max = 20.0
+grid.n_points = 31
+outputs = decoherence, phase
+"""
 
 
 def best_us(calls: dict) -> dict:
@@ -227,6 +268,31 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     return calls, notes
 
 
+def first_runs(sources: dict, tmp: Path) -> dict:
+    """{label: {"cli_first_run": us, "cli_second_run": us}}, the medians
+    over PROCESSES fresh interpreters per checkout of FIRST_RUN's times."""
+    config = tmp / "first_run.cfg"
+    config.write_text(FIRST_RUN_CONFIG)
+    samples = {label: [] for label in sources}
+    labels = list(sources)
+    for r in range(PROCESSES):
+        for label in (labels if r % 2 == 0 else labels[::-1]):
+            env = {**os.environ, "PYTHONPATH": str(sources[label]),
+                   "PYTHONDONTWRITEBYTECODE": "1"}
+            out = subprocess.run(
+                [sys.executable, "-c", FIRST_RUN, str(config),
+                 str(tmp / f"first_run_{label}_{r}")],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=120)
+            samples[label].append(
+                [float(v) for v in out.stdout.splitlines()[-1].split()])
+    return {label: {name: round(statistics.median(times) * 1e6, 1)
+                    for name, times in zip(("cli_first_run",
+                                            "cli_second_run"),
+                                           zip(*pairs))}
+            for label, pairs in samples.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=SRC",
@@ -252,6 +318,8 @@ def main(argv=None) -> int:
                 runs[label]["notes"] = notes
         for (label, name), value in best_us(calls).items():
             runs[label]["times"][name] = value
+        for label, medians in first_runs(sources, Path(tmp)).items():
+            runs[label]["first_runs"] = medians
 
     result = {
         "machine": {"nproc": os.cpu_count(),
@@ -259,6 +327,8 @@ def main(argv=None) -> int:
                     "numpy": np.__version__},
         "repeats": REPEATS,
         "unit": "us per call, best of repeats",
+        "first_runs": {"processes": PROCESSES,
+                       "unit": "us per call, median over processes"},
         "runs": runs,
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
@@ -266,6 +336,9 @@ def main(argv=None) -> int:
     print(f"{'':28s}" + "".join(f"{label:>12s}" for label in runs))
     for name in names:
         print(f"{name:28s}" + "".join(f"{run['times'][name]:12.1f}"
+                                      for run in runs.values()))
+    for name in ("cli_first_run", "cli_second_run"):
+        print(f"{name:28s}" + "".join(f"{run['first_runs'][name]:12.1f}"
                                       for run in runs.values()))
     return 0
 

@@ -1,23 +1,24 @@
 """Command-line entry point.
 
-Verbs:
+Usage:
     nhqubit run CONFIG [--out DIR] [--tol TOL]
     nhqubit run --preset NAME [--out DIR] [--tol TOL]
     nhqubit list-presets
     nhqubit compare CONFIG_A CONFIG_B [--out DIR]
+    nhqubit -h | --help
 
-Exit codes: 0 success, 2 configuration error (any other domain error a
-config reaches, such as a trajectory with nothing to measure, counts as
-one), 3 broken symmetry phase, 4 bath-kernel failure (error bound above
-tolerance), 5 I/O error.
+Options take exact names, after the verb: --name VALUE or --name=VALUE.
+Exit codes: 0 success, 2 configuration error (a malformed command line, or
+any other domain error a config reaches, such as a trajectory with nothing
+to measure), 3 broken symmetry phase, 4 bath-kernel failure (error bound
+above tolerance), 5 I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import sys
+import types
 
 from .bath import DEFAULT_TOL
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
     GridMismatch,
     NhQubitError,
     QuadratureDivergence,
+    UsageError,
 )
 from .presets import list_presets, run_preset
 from .scenario import compare, load_scenario, run
@@ -46,31 +48,40 @@ _EXIT_CODES = (
 )
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: building costs ten times what parsing does.
-    parser = argparse.ArgumentParser(
-        prog="nhqubit",
-        description="Dephasing dynamics of PT- and Anti-PT-symmetric qubits",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+# Per verb: positionals, how many are required, {option: (default, type)}.
+_VERBS = {
+    "run": (("config",), 0, {"--preset": (None, str), "--out": (".", str),
+                             "--tol": (None, float)}),
+    "list-presets": ((), 0, {}),
+    "compare": (("config_a", "config_b"), 2, {"--out": (None, str)}),
+}
 
-    p_run = sub.add_parser("run", help="run a scenario config or a preset")
-    p_run.add_argument("config", nargs="?", help="path to a key-value config")
-    p_run.add_argument("--preset", help="named preset instead of a config")
-    p_run.add_argument("--out", default=".", help="output directory")
-    p_run.add_argument("--tol", type=float, default=None,
-                       help="bath-kernel error tolerance override")
 
-    sub.add_parser("list-presets", help="list available presets")
-
-    p_cmp = sub.add_parser(
-        "compare", help="compare decoherence between two scenarios"
-    )
-    p_cmp.add_argument("config_a")
-    p_cmp.add_argument("config_b")
-    p_cmp.add_argument("--out", default=None, help="output directory")
-    return parser
+def _parse_args(argv: list[str]) -> types.SimpleNamespace:
+    if not argv or argv[0] not in _VERBS:
+        raise UsageError(f"expected a verb {list(_VERBS)}, got {argv[:1]}")
+    verb, rest = argv[0], iter(argv[1:])
+    names, required, options = _VERBS[verb]
+    args = types.SimpleNamespace(verb=verb, **dict.fromkeys(names), **{
+        name[2:]: default for name, (default, _) in options.items()})
+    positionals = []
+    for arg in rest:
+        if not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            raise UsageError(f"{verb} has no option {name}")
+        if not eq and (value := next(rest, None)) is None:
+            raise UsageError(f"{name} needs a value")
+        try:
+            setattr(args, name[2:], options[name][1](value))
+        except ValueError:
+            raise UsageError(f"{name} needs a number, got {value}") from None
+    if not required <= len(positionals) <= len(names):
+        raise UsageError(f"{verb}: wrong number of arguments {positionals}")
+    vars(args).update(zip(names, positionals))
+    return args
 
 
 def _cmd_run(args) -> int:
@@ -110,8 +121,12 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print((__doc__ or "").partition("\n\n")[2].rstrip())
+        return EXIT_OK
     try:
+        args = _parse_args(argv)
         if args.verb == "run":
             return _cmd_run(args)
         if args.verb == "list-presets":

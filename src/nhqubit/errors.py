@@ -44,3 +44,7 @@ class GridMismatch(NhQubitError):
 
 class ConfigError(NhQubitError):
     """Scenario configuration could not be parsed or validated."""
+
+
+class UsageError(ConfigError):
+    """Command line outside the grammar of the command-line verbs."""

@@ -76,9 +76,11 @@ class Scenario:
                 raise ConfigError(f"entropy order must be >= 0, got {q}")
             if q in self.entropy_orders[:i]:
                 raise ConfigError(f"entropy order {q} is repeated")
-        for out in self.outputs:
+        for i, out in enumerate(self.outputs):
             if out not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {out!r}")
+            if out in self.outputs[:i]:
+                raise ConfigError(f"output kind {out!r} is repeated")
         check_tol(self.tol)
 
     @property

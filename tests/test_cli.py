@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +328,29 @@ class TestCliVerbs:
         assert cli.main(["compare", str(pt_config), str(apt_config)]) == 0
         assert "1.000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "-h"],
+                                      ["compare", "a.cfg", "--help"]])
+    def test_help(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for line in ("nhqubit run CONFIG [--out DIR] [--tol TOL]",
+                     "nhqubit run --preset NAME [--out DIR] [--tol TOL]",
+                     "nhqubit list-presets",
+                     "nhqubit compare CONFIG_A CONFIG_B [--out DIR]"):
+            assert line in captured.out
+
+    def test_option_value_after_equals_sign(self, pt_config, tmp_path,
+                                            capsys):
+        """--out=DIR writes the same files, byte for byte, as --out DIR."""
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert cli.main(["run", str(pt_config), "--out", str(spaced)]) == 0
+        assert cli.main(["run", str(pt_config), f"--out={joined}"]) == 0
+        names = sorted(path.name for path in spaced.iterdir())
+        assert names == sorted(path.name for path in joined.iterdir())
+        for name in names:
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
 
 class TestExitCodes:
     def test_missing_config(self, capsys):
@@ -334,6 +358,27 @@ class TestExitCodes:
 
     def test_unknown_preset(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="no-verb"),
+        pytest.param(["frobnicate"], id="unknown-verb"),
+        pytest.param(["run", "a.cfg", "--frob", "1"], id="unknown-option"),
+        pytest.param(["run", "a.cfg", "--out"], id="out-without-value"),
+        pytest.param(["run", "a.cfg", "--tol", "abc"], id="tol-not-a-number"),
+        pytest.param(["run", "a.cfg", "b.cfg"], id="two-configs"),
+        pytest.param(["compare", "a.cfg"], id="compare-one-config"),
+        pytest.param(["list-presets", "extra"], id="list-presets-extra"),
+        pytest.param(["run", "--pre", "fig_pt_phase"], id="option-prefix"),
+    ])
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        """A malformed command line exits 2 with one error line; an option
+        name must be given in full."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_config_and_preset_together(self, pt_config, capsys):
         assert cli.main(["run", str(pt_config), "--preset",
@@ -371,6 +416,9 @@ class TestExitCodes:
         pytest.param("outputs = decoherence, entropy, qsl",
                      "outputs = entropy\nentropy.orders = 1, 2, 1.0",
                      id="repeated-order"),
+        pytest.param("outputs = decoherence, entropy, qsl",
+                     "outputs = entropy, decoherence, entropy",
+                     id="repeated-output"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, old, new):
         cfg = tmp_path / "bad.cfg"
@@ -608,6 +656,21 @@ def test_large_renyi_order_writes_finite_entropies(tmp_path):
     data = np.genfromtxt(tmp_path / "o" / "entropy.csv", delimiter=",",
                          skip_header=1)
     assert data.shape == (26, 3) and np.isfinite(data).all()
+
+
+def test_import_loads_no_argparse():
+    """Importing the CLI loads neither argparse nor the gettext and locale
+    modules it pulls in: building its parsers cost every fresh process
+    about 4 ms before its first run."""
+    code = ("import sys, nhqubit.cli; "
+            "print([m for m in ('argparse', 'gettext', 'locale') "
+            "if m in sys.modules])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_loads_no_scipy():
