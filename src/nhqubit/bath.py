@@ -37,8 +37,8 @@ Every time thus costs 38 terms, whatever the horizon.
 Every kernel takes a float or a 1-D array of times and returns a
 QuadratureResult whose abs_error is the series-truncation bound plus a
 floating-point rounding bound built from the magnitudes of the terms.
-A kernel whose bound exceeds tol, or a grid whose series would need more
-than TERM_BUDGET terms, raises QuadratureDivergence.
+A kernel whose bound exceeds tol, a grid over TERM_BUDGET series terms, or
+out-of-range arithmetic (errors.float_range) raises QuadratureDivergence.
 
 A Kernels table holds gamma, d gamma/dt and the three theta-linear kernels
 of one bath on one grid, each evaluated at most once per table, and checks
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureDivergence
+from .errors import DomainError, QuadratureDivergence, float_range
 
 # The numeric path, as recorded in run manifests.
 BACKEND = "numpy"
@@ -98,7 +98,7 @@ class BathParams:
 
     j0: coupling amplitude, omega_c: cutoff frequency, mu: spectral
     exponent (> -1 or the gamma integrand diverges at w -> 0), beta:
-    inverse temperature.
+    inverse temperature; all finite.
     """
 
     j0: float
@@ -107,14 +107,10 @@ class BathParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.j0 > 0):
-            raise DomainError(f"j0 must be positive, got {self.j0}")
-        if not (self.omega_c > 0):
-            raise DomainError(f"omega_c must be positive, got {self.omega_c}")
-        if not (self.beta > 0):
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if not (self.mu > -1.0):
-            raise DomainError(f"mu must exceed -1, got {self.mu}")
+        for name, low in (("j0", 0), ("omega_c", 0), ("beta", 0), ("mu", -1)):
+            if not low < (value := getattr(self, name)) < math.inf:
+                raise DomainError(
+                    f"{name} must exceed {low} and be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,8 @@ def _prefactor(name: str, p: BathParams, factor: float, power: float,
 
 def moment0(p: BathParams) -> float:
     """int_0^inf J(w) dw = j0 * omega_c^2 * Gamma(2 + mu), in closed form."""
-    return _prefactor("moment0", p, 1.0, 2.0, 2.0)
+    with float_range(QuadratureDivergence, "moment0"):
+        return _prefactor("moment0", p, 1.0, 2.0, 2.0)
 
 
 def _times(t) -> np.ndarray:
@@ -227,15 +224,11 @@ def _bound(value, magnitude, n_terms):
 
 
 def _in_range(kernel):
-    """kernel(name, ...), with QuadratureDivergence where its array
-    arithmetic overflows or turns invalid, as for t/a beyond 1e154."""
+    """kernel(name, ...) under float_range, as for t/a beyond 1e154 or
+    lgamma(mu + 1) at mu = 1e308."""
     def checked(name, *args):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return kernel(name, *args)
-        except FloatingPointError as exc:
-            raise QuadratureDivergence(
-                f"{name}: {exc}, outside the floating-point range") from None
+        with float_range(QuadratureDivergence, name):
+            return kernel(name, *args)
     return checked
 
 
@@ -371,7 +364,7 @@ def _result(name: str, t, ts, value, err, terms: int, tol: float,
         scale = abs(theta)
         if not (math.isfinite(float(np.abs(value).max()) * scale)
                 and math.isfinite(float(err.max()) * scale)):
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 out = ~(np.isfinite(value * scale) & np.isfinite(err * scale))
             i = int(np.argmax(out))
             raise QuadratureDivergence(

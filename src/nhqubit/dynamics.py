@@ -27,7 +27,6 @@ new table of them, after a class check.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import bath
 from .bath import BathParams, DEFAULT_TOL
-from .errors import BrokenPhase, DomainError
+from .errors import BrokenPhase, DomainError, float_range
 from .linalg2 import DensityMatrix, as_matrix, check_physical, opnorm
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -254,20 +253,6 @@ def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
     return phys
 
 
-@contextlib.contextmanager
-def _in_range(p: QubitParams):
-    """DomainError naming the qubit p where the array arithmetic in the
-    block overflows or turns invalid, as bath._in_range does for the
-    kernels."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise DomainError(
-            f"{p.symmetry.value} trajectory: {exc}, outside the "
-            f"floating-point range ({p._values()})") from None
-
-
 def phase_function(p: QubitParams, kernels: bath.Kernels,
                    tol: float = DEFAULT_TOL):
     """(F, result): the phase function in the bath and on the grid of the
@@ -300,8 +285,8 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
     point comes first, then ValueError unless the table's grid is a
     non-empty 1-D grid starting at 0 and strictly increasing, then the
     kernel reads (gamma, d gamma/dt for Anti-PT, the phase kernels), all
-    before the arithmetic, which raises DomainError where it overflows or
-    turns invalid.
+    before the arithmetic, which raises DomainError naming the qubit where
+    it leaves the floating-point range (errors.float_range).
     """
     omega0 = split(p).omega0
     if omega0 <= 0.0:
@@ -324,7 +309,8 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
         reads += [dg, do1]
 
     # Every kernel is read, so a kernel error keeps precedence.
-    with _in_range(p):
+    with float_range(DomainError, f"{p.symmetry.value} trajectory",
+                     f" ({p._values()})"):
         damping = np.exp(-(omega0**2) * g.value)
         phases = 2.0 * omega0 * ts - omega0 * f
         coherences = initial.c * np.exp(1j * phases) * damping

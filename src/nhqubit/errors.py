@@ -1,4 +1,11 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and float_range, the one
+guard that turns arithmetic leaving the floating-point range into a package
+error: QuadratureDivergence in a bath kernel, DomainError in a trajectory.
+"""
+
+import contextlib
+
+import numpy as np
 
 
 class NhQubitError(Exception):
@@ -48,3 +55,15 @@ class ConfigError(NhQubitError):
 
 class UsageError(ConfigError):
     """Command line outside the grammar of the command-line verbs."""
+
+
+@contextlib.contextmanager
+def float_range(error: type[NhQubitError], prefix: str, suffix: str = ""):
+    """Numpy overflow or invalid in the block, or a math OverflowError, as
+    error(f"{prefix}: {exc}, outside the floating-point range{suffix}")."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as exc:
+        raise error(f"{prefix}: {exc}, outside the floating-point "
+                    f"range{suffix}") from None

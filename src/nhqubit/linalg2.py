@@ -134,7 +134,8 @@ def check_physical(p1, p2, c) -> None:
     if bad.any():
         raise NonPhysicalState(
             f"trace {float(tr[bad][0])!r} != 1 beyond tolerance")
-    lo, hi = map(np.atleast_1d, eigenvalue_pair(p1, p2, c, clamp=False))
+    with np.errstate(over="ignore"):  # |c| beyond 1e154: an eigenvalue inf
+        lo, hi = map(np.atleast_1d, eigenvalue_pair(p1, p2, c, clamp=False))
     bad = (lo < -_POSITIVITY_TOL) | (hi > 1.0 + _POSITIVITY_TOL)
     if bad.any():
         raise NonPhysicalState(f"eigenvalues ({float(lo[bad][0])}, "

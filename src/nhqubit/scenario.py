@@ -71,6 +71,13 @@ class Scenario:
             raise ConfigError("grid.n_points must be at least 3")
         if not self.t_max > 0:
             raise ConfigError("grid.t_max must be positive")
+        # linspace gives i * step, then t_max, distinct iff these hold (for
+        # fewer than 2^52 points; the term budget stops longer grids).
+        step = self.t_max / (self.n_points - 1)
+        if not (0 < step and (self.n_points - 2) * step < self.t_max):
+            raise ConfigError(
+                f"grid.t_max = {self.t_max!r} is too small for grid.n_points "
+                f"= {self.n_points}: the time grid repeats a time")
         for i, q in enumerate(self.entropy_orders):
             if not q >= 0:
                 raise ConfigError(f"entropy order must be >= 0, got {q}")
@@ -85,7 +92,9 @@ class Scenario:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max, self.n_points)
+        # linspace's last i * step may overflow; t_max then replaces it.
+        with np.errstate(over="ignore"):
+            return np.linspace(0.0, self.t_max, self.n_points)
 
     def kernels(self) -> bath.Kernels:
         """A new kernel table of the bath on the grid."""

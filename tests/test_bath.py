@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -297,10 +298,37 @@ class TestSpecialFunctions:
             kernel(p, t)
 
 
+    @pytest.mark.parametrize("kernel, name",
+                             [*zip(KERNELS, KERNEL_IDS[:5]),
+                              *zip(KERNELS[5:], ["moment0"] * 2),
+                              (lambda p: bath.moment0(p), "moment0")],
+                             ids=[*KERNEL_IDS, "moment0"])
+    def test_lgamma_overflow_raises(self, kernel, name):
+        """lgamma(mu + 1) overflows at mu = 1e308: every kernel, and
+        moment0 under Omega_2, raises through the one float-range guard
+        rather than leaking math's OverflowError."""
+        p = BathParams(j0=1.0, omega_c=1.0, mu=1e308, beta=0.5)
+        with pytest.raises(QuadratureDivergence) as info:
+            kernel(p)
+        assert str(info.value) == (f"{name}: math range error, outside the "
+                                   "floating-point range")
+
+
+def test_one_float_range_guard():
+    """errors.float_range is the one place where numpy overflow raises."""
+    package = Path(bath.__file__).parent
+    hits = [path.name for path in sorted(package.glob("*.py"))
+            for line in path.read_text().splitlines()
+            if 'errstate(over="raise"' in line]
+    assert hits == ["errors.py"]
+
+
 class TestParams:
     @pytest.mark.parametrize("kw", [
         dict(j0=0.0), dict(j0=-1.0), dict(omega_c=0.0),
         dict(beta=0.0), dict(mu=-1.0), dict(mu=-1.5),
+        dict(j0=math.inf), dict(omega_c=math.inf), dict(beta=math.inf),
+        dict(mu=math.inf), dict(j0=math.nan), dict(mu=math.nan),
     ])
     def test_invalid_params(self, kw):
         base = dict(j0=1.0, omega_c=1.0, mu=-0.5, beta=0.5)

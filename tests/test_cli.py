@@ -1,13 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhqubit import bath, cli, scenario
@@ -102,6 +105,29 @@ class TestConfigParsing:
                                                "grid.n_points = 2"))
         with pytest.raises(ConfigError, match="n_points"):
             scenario_from_pairs(pairs)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(t_max=st.one_of(st.integers(1, 5000).map(lambda k: k * 5e-324),
+                           st.floats(5e-324, 1e-300),
+                           st.floats(5e-324, allow_infinity=False)),
+           n_points=st.integers(3, 2000))
+    def test_grid_rejected_iff_linspace_repeats_a_time(self, t_max,
+                                                        n_points):
+        """A scenario grid is a ConfigError, naming t_max and n_points,
+        exactly where linspace(0, t_max, n_points) is not strictly
+        increasing."""
+        sc = scenario_from_pairs(_parse_pairs(PT_CONFIG))
+        increasing = bool(np.all(np.diff(np.linspace(0.0, t_max,
+                                                     n_points)) > 0))
+        try:
+            Scenario(qubit=sc.qubit, bath=sc.bath, initial=sc.initial,
+                     t_max=t_max, n_points=n_points, outputs=())
+        except ConfigError as exc:
+            assert not increasing
+            assert f"grid.t_max = {t_max!r}" in str(exc)
+            assert f"grid.n_points = {n_points}" in str(exc)
+        else:
+            assert increasing
 
 
 class TestRun:
@@ -419,6 +445,12 @@ class TestExitCodes:
         pytest.param("outputs = decoherence, entropy, qsl",
                      "outputs = entropy, decoherence, entropy",
                      id="repeated-output"),
+        pytest.param("grid.t_max = 5.0\ngrid.n_points = 26",
+                     "grid.t_max = 5e-324\ngrid.n_points = 3",
+                     id="grid-repeats-a-time-3"),
+        pytest.param("grid.t_max = 5.0\ngrid.n_points = 26",
+                     "grid.t_max = 5e-324\ngrid.n_points = 21",
+                     id="grid-repeats-a-time-21"),
     ])
     def test_bad_config_value(self, tmp_path, capsys, old, new):
         cfg = tmp_path / "bad.cfg"
@@ -684,3 +716,157 @@ def test_import_loads_no_scipy():
                          capture_output=True, text=True, check=True,
                          timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# The draw space of the CLI contract property.  Each config line holds an
+# ordinary value, except on up to three keys, which hold a float-range
+# extreme, a malformed token or no line at all; outputs and entropy.orders
+# hold a valid list, in any order, except where drawn as odd keys too, when
+# their lists may repeat an entry or hold a bad one.
+ORDINARY = {
+    "qubit.symmetry": ("PT", "AntiPT"),
+    "qubit.alpha": ("1.5", "1.2", "-2.0"),
+    "qubit.theta": ("0.86", "0.5", "0", "-0.3"),
+    "qubit.xi": ("0.81", "1.0"),
+    "qubit.delta": ("0.56", "0.2"),
+    "bath.j0": ("1.0", "0.1"),
+    "bath.omega_c": ("1.0", "5.0"),
+    "bath.mu": ("-0.5", "0", "1", "2.5"),
+    "bath.beta": ("0.5", "10"),
+    "initial.state": ("plus",),
+    "initial.sz": ("0", "0.2", "-0.5"),
+    "initial.coherence_re": ("0.3", "0.2", "0"),
+    "initial.coherence_im": ("0", "-0.1"),
+    "grid.t_max": ("5.0", "20", "0.3"),
+    # The term budget is patched to BUDGET_POINTS points, so that grids on
+    # both sides of it run in milliseconds.
+    "grid.n_points": ("3", "11", "26", "39", "40", "41"),
+    "tol": ("1e-9", "1e-6", "1e-13"),
+}
+BUDGET_POINTS = 40
+EXTREMES = ("5e-324", "1e-320", "1e154", "1e308", "1.7976931348623157e308",
+            "inf", "nan", "-0.0")
+MALFORMED = ("", "two", "1e", "0.5.1", "--")
+ORDERS = ("0", "0.5", "1", "1.0000001", "2", "3", "2000", "inf")
+
+
+@st.composite
+def _configs(draw, grid=None):
+    """A config text from the draw space; grid, when given, replaces its
+    grid lines (compare draws its second config on the first's grid)."""
+    initial = draw(st.sampled_from([
+        ("initial.state",),
+        ("initial.sz", "initial.coherence_re", "initial.coherence_im")]))
+    keys = [key for key in ORDINARY
+            if not key.startswith("initial.") or key in initial]
+    odd = draw(st.sets(st.sampled_from(keys + ["outputs", "entropy.orders"]),
+                       max_size=3))
+    lines = {}
+    for key in keys:
+        if key in odd:
+            value = draw(st.one_of(st.sampled_from(EXTREMES),
+                                   st.sampled_from(MALFORMED), st.none()))
+        else:
+            value = draw(st.sampled_from(ORDINARY[key]))
+        if value is not None:
+            lines[key] = value
+    if grid is not None:
+        lines.pop("grid.t_max", None)
+        lines.pop("grid.n_points", None)
+        lines.update(grid)
+    kinds = scenario.OUTPUT_KINDS
+    lines["outputs"] = ", ".join(draw(
+        st.lists(st.sampled_from(kinds + ("spectra",)), max_size=6)
+        if "outputs" in odd else st.lists(st.sampled_from(kinds), unique=True)))
+    if "entropy.orders" in odd:
+        lines["entropy.orders"] = ", ".join(draw(st.lists(
+            st.sampled_from(ORDERS + ("-1", "two", *EXTREMES)), max_size=5)))
+    elif draw(st.booleans()):
+        lines["entropy.orders"] = ", ".join(draw(st.lists(
+            st.sampled_from(ORDERS), unique=True, max_size=5)))
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+def _grid_lines(text):
+    """The grid keys of a config text and their values."""
+    return {key: value for key, _, value in (
+        line.partition(" = ") for line in text.splitlines())
+        if key in ("grid.t_max", "grid.n_points")}
+
+
+@st.composite
+def _command_lines(draw):
+    """(verb, config texts, run's --tol token or None) from the draw
+    space."""
+    texts = [draw(_configs())]
+    if draw(st.booleans()):
+        # Three in four share the grid, so most get past GridMismatch.
+        shared = draw(st.sampled_from([True, True, True, False]))
+        texts.append(draw(_configs(_grid_lines(texts[0]) if shared
+                                   else None)))
+        return "compare", texts, None
+    return "run", texts, draw(st.one_of(st.none(), st.sampled_from(
+        ORDINARY["tol"] + EXTREMES + MALFORMED)))
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} in the JSON")
+
+
+class TestContract:
+    """Every config keeps the documented CLI contract."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_command_lines())
+    @example(case=("run", [PT_CONFIG.replace("bath.mu = -0.5",
+                                             "bath.mu = 1e308")], None))
+    @example(case=("run", [PT_CONFIG.replace(
+        "grid.t_max = 5.0\ngrid.n_points = 26",
+        "grid.t_max = 5e-324\ngrid.n_points = 3")], None))
+    @example(case=("compare", [PT_CONFIG.replace(
+        "grid.t_max = 5.0\ngrid.n_points = 26",
+        "grid.t_max = 5e-324\ngrid.n_points = 21")] * 2, None))
+    @example(case=("run", [PT_CONFIG.replace(
+        "grid.t_max = 5.0\ngrid.n_points = 26",
+        "grid.t_max = 1.7976931348623157e308\ngrid.n_points = 39")], None))
+    def test_every_config_exits_with_a_documented_code(self,
+                                                        tmp_path_factory,
+                                                        case):
+        """The exit code is in {0, 2, 3, 4, 5}; a failure prints one
+        error: line and nothing on stdout; a success writes JSON without
+        NaN or infinities and exactly the files it lists."""
+        verb, texts, tol = case
+        with tempfile.TemporaryDirectory(
+                dir=tmp_path_factory.getbasetemp()) as work:
+            work = Path(work)
+            argv = [verb]
+            for i, text in enumerate(texts):
+                (work / f"{i}.cfg").write_text(text)
+                argv.append(str(work / f"{i}.cfg"))
+            out = work / "out"
+            argv += ["--out", str(out)]
+            if tol is not None:
+                argv += ["--tol", tol]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, \
+                    contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                mp.setattr(bath, "TERM_BUDGET", BUDGET_POINTS * bath._TERMS)
+                code = cli.main(argv)
+            assert code in (0, 2, 3, 4, 5)
+            if code:
+                err = stderr.getvalue().splitlines()
+                assert len(err) == 1 and err[0].startswith("error: "), err
+                assert stdout.getvalue() == ""
+                return
+            assert stderr.getvalue() == ""
+            assert len(stdout.getvalue().splitlines()) == 1
+            written = {path.name for path in out.iterdir()}
+            if verb == "compare":
+                json.loads((out / "compare.json").read_text(),
+                           parse_constant=_reject_constant)
+                assert written == {"compare.csv", "compare.json"}
+                return
+            manifest = json.loads((out / "manifest.json").read_text(),
+                                  parse_constant=_reject_constant)
+            assert written == {"manifest.json", *manifest["files"].values()}

@@ -1,19 +1,20 @@
 """Property tests over the unbroken parameter region: physical states,
 D in (0, 1], the Renyi hierarchy, the grid functions agreeing with the
 same quantities computed state by state, and the robustness ordering of
-the two classes."""
+the two classes.  Over every region, float-range extremes included, the
+public entry points raise only the errors they document."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nhqubit import bath, entropy, qsl
 from nhqubit.bath import BathParams
 from nhqubit.dynamics import (QubitParams, Symmetry, evolve, evolve_apt,
                               evolve_pt, split)
-from nhqubit.errors import AngleSingularity
+from nhqubit.errors import AngleSingularity, NhQubitError
 from nhqubit.linalg2 import DensityMatrix
 
 ORDERS = (0, 1, 2, math.inf)
@@ -128,3 +129,97 @@ def test_anti_pt_more_robust_iff_smaller_splitting(pt, apt, b, t_max, n):
     traj_apt, traj_pt = [evolve(p, table) for p in (apt, pt)]
     robust = bool(np.all(traj_apt.decoherence >= traj_pt.decoherence))
     assert robust == (w_apt <= w_pt)
+
+
+# The draw space of the library contract property: ordinary parameters,
+# except on up to three, which take a float-range extreme.
+EXTREMES = (5e-324, 1e-320, 1e154, 1e308, 1.7976931348623157e308, math.inf,
+            math.nan, -0.0)
+ORDINARY = {
+    "j0": (1.0, 0.1), "omega_c": (1.0, 5.0), "mu": (-0.5, 0.0, 1.0, 2.5),
+    "beta": (0.5, 10.0), "alpha": (1.5, 1.2, -2.0),
+    "theta": (0.86, 0.5, 0.0, -0.3), "xi": (0.81, 1.0), "delta": (0.56, 0.2),
+    "t_max": (5.0, 20.0, 0.3), "horizon": (5.0, 0.3), "tol": (1e-9, 1e-13),
+}
+CAPTION_CASE = {"j0": 1.0, "omega_c": 1.0, "mu": -0.5, "beta": 0.5,
+                "alpha": 1.0, "theta": 0.86, "xi": 0.81, "delta": 0.56,
+                "t_max": 5.0, "horizon": 5.0, "tol": 1e-9,
+                "symmetry": Symmetry.PT, "grid": "linspace", "n": 26,
+                "index": 3, "initial": DensityMatrix.plus(),
+                "orders": [0.0, 1.0, 2.0, math.inf]}
+
+
+@st.composite
+def library_cases(draw):
+    odd = draw(st.sets(st.sampled_from(list(ORDINARY)), max_size=3))
+    case = {key: draw(st.sampled_from(EXTREMES if key in odd else values))
+            for key, values in ORDINARY.items()}
+    case["symmetry"] = draw(st.sampled_from(Symmetry))
+    case["grid"] = draw(st.sampled_from(
+        ["linspace", "scalar", "late-start", "decreasing", "2-D"]))
+    case["n"] = draw(st.sampled_from([1, 2, 3, 11, 26]))
+    case["index"] = draw(st.sampled_from([0, 3, -1, 26]))
+    case["initial"] = draw(st.sampled_from([
+        DensityMatrix.plus(), DensityMatrix.from_expectations(0.2, 0.3 - 0.1j),
+        DensityMatrix.from_expectations(1.0, 0.0)]))
+    case["orders"] = draw(st.lists(st.sampled_from(
+        (0.0, 0.5, 1.0, 2.0, 2000.0, math.inf, -1.0, *EXTREMES)), max_size=4))
+    return case
+
+
+def _times(case):
+    t_max = case["t_max"]
+    grids = {"linspace": lambda: np.linspace(0.0, t_max, case["n"]),
+             "scalar": lambda: t_max,
+             "late-start": lambda: np.array([0.5 * t_max, t_max]),
+             "decreasing": lambda: np.array([0.0, t_max, 0.5 * t_max]),
+             "2-D": lambda: np.zeros((2, 2))}
+    # linspace to an infinite t_max holds NaN, and says so; to the largest
+    # float its last step may overflow before t_max replaces it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return grids[case["grid"]]()
+
+
+def _call(documented, fn, *args):
+    """fn(*args), or None where it raises a package error or one of the
+    documented exception types; any other exception fails the test."""
+    try:
+        return fn(*args)
+    except (NhQubitError, *documented):
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=library_cases())
+@example(c={**CAPTION_CASE, "mu": 1e308})
+def test_public_entry_points_raise_only_package_errors(c):
+    """The kernels, evolve and the measures raise an NhQubitError, or the
+    ValueError (a grid or a horizon) or IndexError (a grid index) they
+    document, and nothing else: no OverflowError, FloatingPointError or
+    numpy warning."""
+    ts, theta, tol = _times(c), c["theta"], c["tol"]
+    b = _call((), BathParams, c["j0"], c["omega_c"], c["mu"], c["beta"])
+    if b is not None:
+        for kernel in (bath.gamma, bath.gamma_rate):
+            _call((), kernel, ts, b, tol)
+        for kernel in (bath.omega_pt, bath.omega1, bath.omega1_rate):
+            _call((), kernel, ts, theta, b, tol)
+        for kernel in (bath.omega2, bath.omega2_rate):
+            _call((), kernel, ts, theta, b)
+        _call((), bath.moment0, b)
+    p = _call((), QubitParams, c["alpha"], theta, c["xi"], c["delta"],
+              c["symmetry"])
+    table = None if b is None else _call((), bath.Kernels, ts, b)
+    if p is None or table is None:
+        return
+    for evolve_class in (evolve_pt, evolve_apt):
+        _call((ValueError,), evolve_class, p, b, ts, c["initial"], tol)
+    traj = _call((ValueError,), evolve, p, table, c["initial"], tol)
+    if traj is None:
+        return
+    _call((ValueError,), qsl.qsl_series, traj)
+    for horizon in (traj.times[-1], c["horizon"]):
+        _call((ValueError,), qsl.tau_qsl, traj, horizon)
+    _call((IndexError,), qsl.v_qsl, traj, c["index"])
+    _call((IndexError,), qsl.liouvillian_norm, traj, c["index"])
+    _call((), entropy.entropy_series, traj, c["orders"])
