@@ -13,15 +13,14 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - dynamics.evolve(p, table) calls of the caption PT and Anti-PT qubits
   at n = 201 on a filled table, so each row times the trajectory
   assembly alone
-- one build each of the presets fig_pt_decoherence and fig_apt_qsl; in a
-  checkout whose presets share one kernel table (presets.caption_kernels)
-  every timed build finds it filled, as all builds but the first of a
-  process do, and where they share trajectories too, finds its cases
-  evolved, so the row is then the column extraction alone
+- one build each of the presets fig_pt_decoherence and fig_apt_qsl:
+  every timed build finds the shared kernel table
+  (presets.caption_kernels) filled and its cases evolved, as all builds
+  but the first of a process do, so the row is the column extraction
+  alone
 - one pass of all 13 preset builds from a cold kernel table, as a fresh
-  process pays it; in a checkout whose presets share their trajectories
-  through the table (presets.caption_trajectory), the pass evolves each
-  caption qubit once
+  process pays it: the pass evolves each caption qubit once
+  (presets.caption_trajectory)
 - presets.run_preset for all 13 presets from a cold kernel table, into a
   temporary directory: the builds plus the CSV and manifest writing
 - scenario.write_csv on a 201 x 8 table of distinct values (a time column
@@ -61,7 +60,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
-import inspect
 import json
 import math
 import os
@@ -145,29 +143,6 @@ def git_rev(src: Path) -> str | None:
     return out.stdout.strip()
 
 
-def stacked_assembly(t_inv, p1, p2, coherences):
-    """The PT assembly as one stacked 2x2 product per time, for checkouts
-    without dynamics._physical_states."""
-    rho_d = np.empty((len(coherences), 2, 2), dtype=complex)
-    rho_d[:, 0, 0] = p1
-    rho_d[:, 0, 1] = coherences
-    rho_d[:, 1, 0] = coherences.conj()
-    rho_d[:, 1, 1] = p2
-    phys = t_inv @ rho_d @ t_inv.conj().T
-    phys = 0.5 * (phys + phys.conj().swapaxes(-1, -2))
-    phys /= (phys[:, 0, 0].real + phys[:, 1, 1].real)[:, None, None]
-    return phys
-
-
-def table_evolve(dynamics):
-    """dynamics.evolve as evolve(p, table), for checkouts whose evolve
-    takes the bath and the grid beside the table."""
-    evolve = dynamics.evolve
-    if "times" not in inspect.signature(evolve).parameters:
-        return evolve
-    return lambda p, table: evolve(p, table.p, table.ts, kernels=table)
-
-
 def load(src: Path):
     """The nhqubit modules under src, imported afresh."""
     for name in [m for m in sys.modules if m.split(".")[0] == "nhqubit"]:
@@ -181,11 +156,11 @@ def load(src: Path):
         sys.path.remove(str(src))
 
 
-def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
-    """({name: fn}, notes) of the quantities, for the package in src."""
+def calls_for(src: Path, csv_path: Path) -> dict:
+    """{name: fn} of the quantities, for the package in src."""
     bath, dynamics, scenario, presets, qsl, entropy = load(src)
     b = presets.CAPTION_BATH
-    calls, notes = {}, {}
+    calls = {}
     for n in (31, 201):
         grid = np.linspace(0.0, 20.0, n)
         calls[f"gamma_{n}"] = lambda ts=grid: bath.gamma(ts, b)
@@ -200,37 +175,29 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     t_inv = np.linalg.inv(dynamics.transformation_matrix(qubit))
     rho0 = traj.rho0_diag
     coherences = rho0.c * np.exp(1j * traj.phase) * traj.decoherence
-    assemble = getattr(dynamics, "_physical_states", None)
-    if assemble is None:
-        assemble = stacked_assembly
-        notes["pt_assembly_201"] = "stacked per-time product, as inlined"
     calls["pt_assembly_201"] = (
-        lambda: assemble(t_inv, rho0.p1, rho0.p2, coherences))
+        lambda: dynamics._physical_states(t_inv, rho0.p1, rho0.p2,
+                                          coherences))
 
-    evolve = table_evolve(dynamics)
     table = bath.Kernels(ts, b)
     for label, p in (("pt", qubit), ("apt", presets.caption_apt())):
-        evolve(p, table)  # fills the table
-        calls[f"evolve_{label}_201"] = lambda p=p: evolve(p, table)
+        dynamics.evolve(p, table)  # fills the table
+        calls[f"evolve_{label}_201"] = lambda p=p: dynamics.evolve(p, table)
 
     for name in ("fig_pt_decoherence", "fig_apt_qsl"):
         calls[f"build_{name}"] = (
             lambda preset=presets.PRESETS[name]:
             preset.build(bath.DEFAULT_TOL))
 
-    # A checkout without the shared table builds every preset cold.
-    cold = getattr(getattr(presets, "caption_kernels", None), "cache_clear",
-                   lambda: None)
-
     def presets_pass():
-        cold()
+        presets.caption_kernels.cache_clear()
         for preset in presets.PRESETS.values():
             preset.build(bath.DEFAULT_TOL)
 
     calls["presets_pass_13"] = presets_pass
 
     def presets_run():
-        cold()
+        presets.caption_kernels.cache_clear()
         for name in presets.PRESETS:
             presets.run_preset(name, csv_path.with_suffix("") / name)
 
@@ -265,7 +232,7 @@ def calls_for(src: Path, csv_path: Path) -> tuple[dict, dict]:
     calls["entropy_12_orders_301"] = lambda: [
         entropy.entropy_series(traj, orders) for traj in pair]
     calls["dephasing_frame_pt_301"] = pair[0].dephasing_frame
-    return calls, notes
+    return calls
 
 
 def first_runs(sources: dict, tmp: Path) -> dict:
@@ -311,11 +278,9 @@ def main(argv=None) -> int:
     runs, calls = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for label, src in sources.items():
-            fns, notes = calls_for(src, Path(tmp) / f"{label}.csv")
+            fns = calls_for(src, Path(tmp) / f"{label}.csv")
             calls.update({(label, name): fn for name, fn in fns.items()})
             runs[label] = {"git_rev": git_rev(src), "times": {}}
-            if notes:
-                runs[label]["notes"] = notes
         for (label, name), value in best_us(calls).items():
             runs[label]["times"][name] = value
         for label, medians in first_runs(sources, Path(tmp)).items():

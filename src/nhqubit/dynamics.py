@@ -14,15 +14,14 @@ A Trajectory holds the states as arrays over the time grid; DensityMatrix
 objects are built only on request (Trajectory.states).
 
 evolve(p, table) evolves one qubit on one bath.Kernels table, as
-whole-array passes over the grid.  gamma(t) and d gamma/dt depend only
-on the bath and the grid, and Omega, Omega_1 and d Omega_1/dt are theta
-times a per-unit-theta kernel of the same, so all are read from the
-table, evaluated at most once there, and the table alone supplies the
-bath and the grid.  The qubit reads the kernels its class needs and
-scales the theta-linear ones by its theta.  Calls share kernels by
-sharing a table, as the presets do.  evolve_pt and evolve_apt take a
-bath and a grid, the only such entry point here: they are evolve on a
-new table of them, after a class check.
+whole-array passes over the grid.  gamma(t), d gamma/dt and Omega,
+Omega_1 and d Omega_1/dt per unit theta depend only on the bath and the
+grid, so the table evaluates each at most once and alone supplies the
+bath, the grid and the tol every read is checked against.  The qubit
+reads the kernels its class needs, scaling the theta-linear ones by its
+theta.  Calls share kernels by sharing a table, as the presets do.
+evolve_pt and evolve_apt, the only entry points here that take a bath
+and a grid, are evolve on a new table of them, after a class check.
 """
 
 from __future__ import annotations
@@ -253,24 +252,22 @@ def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
     return phys
 
 
-def phase_function(p: QubitParams, kernels: bath.Kernels,
-                   tol: float = DEFAULT_TOL):
-    """(F, result): the phase function in the bath and on the grid of the
-    table kernels, and the kernel result it read, with F's error bound.
+def phase_function(p: QubitParams, kernels: bath.Kernels):
+    """(F, result): the phase function on the table kernels, and the
+    kernel result it read, with F's error bound.
     The coherence phase is 2 omega0 t - omega0 F: F is Omega for PT, and
     Omega_2 - Omega_1, the same for every (xi, delta), for Anti-PT."""
     if p.symmetry is Symmetry.PT:
-        res = kernels("omega_pt", p.theta, tol)
+        res = kernels("omega_pt", p.theta)
         return res.value, res
-    res = kernels("omega1", p.theta, tol)
+    res = kernels("omega1", p.theta)
     return bath.omega2(kernels.ts, p.theta, kernels.p) - res.value, res
 
 
 def evolve(p: QubitParams, kernels: bath.Kernels,
-           initial: DensityMatrix | None = None,
-           tol: float = DEFAULT_TOL) -> Trajectory:
-    """The trajectory of qubit p in the bath and on the grid of the
-    bath.Kernels table kernels.
+           initial: DensityMatrix | None = None) -> Trajectory:
+    """The trajectory of qubit p in the bath, on the grid and at the tol of
+    the bath.Kernels table kernels.
 
     initial is the eigenframe state at t = 0 (|+> by default).  It dephases
     in closed form; PT states go to the physical frame through T^-1,
@@ -279,9 +276,9 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
     c_diag.  The trajectory's times are the table's grid.
 
     The qubit scales the theta-linear kernels by its theta before the tol
-    check, so its trajectory is the same bit for bit whatever table of its
-    bath and grid it reads, and qubits share kernels by sharing one table:
-    [evolve(p, table) for p in sweep].  BrokenPhase at the exceptional
+    check, so its trajectory is the same bit for bit on every table of its
+    bath and grid whose tol its reads meet, and qubits share kernels by
+    sharing one table: [evolve(p, table) for p in sweep].  BrokenPhase at the exceptional
     point comes first, then ValueError unless the table's grid is a
     non-empty 1-D grid starting at 0 and strictly increasing, then the
     kernel reads (gamma, d gamma/dt for Anti-PT, the phase kernels), all
@@ -299,12 +296,12 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
         initial = DensityMatrix.plus()
     anti = p.symmetry is Symmetry.ANTI_PT
     ts = kernels.ts
-    g = kernels.gamma(tol)
-    dg = kernels.gamma_rate(tol) if anti else None
-    f, phase_kernel = phase_function(p, kernels, tol)
+    g = kernels.gamma()
+    dg = kernels.gamma_rate() if anti else None
+    f, phase_kernel = phase_function(p, kernels)
     reads = [g, phase_kernel]
     if anti:
-        do1 = kernels("omega1_rate", p.theta, tol)
+        do1 = kernels("omega1_rate", p.theta)
         do2 = bath.omega2_rate(ts, p.theta, kernels.p)
         reads += [dg, do1]
 
@@ -348,7 +345,7 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
     each time."""
     if p.symmetry is not Symmetry.PT:
         raise ValueError("evolve_pt requires PT-class parameters")
-    return evolve(p, bath.Kernels(times, b), rho0_diag, tol)
+    return evolve(p, bath.Kernels(times, b, tol), rho0_diag)
 
 
 def evolve_apt(p: QubitParams, b: BathParams, times,
@@ -361,4 +358,4 @@ def evolve_apt(p: QubitParams, b: BathParams, times,
     2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
     if p.symmetry is not Symmetry.ANTI_PT:
         raise ValueError("evolve_apt requires Anti-PT-class parameters")
-    return evolve(p, bath.Kernels(times, b), rho0, tol)
+    return evolve(p, bath.Kernels(times, b, tol), rho0)

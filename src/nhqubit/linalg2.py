@@ -109,7 +109,7 @@ def opnorm(m) -> float:
     """
     a = as_matrix(m)
     g = float(np.sum(np.abs(a) ** 2))
-    d = abs(np.linalg.det(a)) ** 2
+    d = abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) ** 2
     rad = max(0.25 * g * g - d, 0.0)
     return math.sqrt(max(0.5 * g + math.sqrt(rad), 0.0))
 

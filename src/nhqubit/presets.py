@@ -4,27 +4,23 @@ A preset is data: labelled qubit cases times plotted quantities, all in
 the caption bath (J0 = 1, beta = 0.5, omega_c = 1, mu = -0.5) on
 linspace(0, 20, 201).  Its one CSV holds a column per quantity and case,
 grouped by quantity, and scenario.emit writes it with its manifest, as
-for a scenario run.  Every build reads its kernels from one
-bath.Kernels table of the caption bath and grid (caption_kernels), made
-on first use and shared by the process, so gamma(t), d gamma/dt and each
-theta-linear kernel are evaluated at most once per process.  Every build
-reads its trajectories through caption_trajectory, which evolves each
-caption qubit on that table at most once per table and tol, one
-dynamics.evolve call per qubit, and shares the (frozen) trajectory with
-every later build.  The phase-function presets plot
-dynamics.phase_function on the same table: F for Anti-PT and -F for PT,
-as the published figures do.
-A fresh table (caption_kernels.cache_clear()) starts with no
-trajectories.  Reproduction is qualitative (curve shapes, orderings,
-constants): the published figures do not state the exact
-spectral-density form.
+for a scenario run.  A build at tol reads its kernels, each evaluated
+at most once per table, from the bath.Kernels table of the caption bath
+and grid at that tol (caption_kernels(tol), one per tol value, made on
+first use and shared by the process), and its trajectories through
+caption_trajectory, which evolves each caption qubit at most once per
+table and shares the (frozen) trajectory with every later build.  The
+phase-function presets plot dynamics.phase_function on the same table: F
+for Anti-PT and -F for PT, as the published figures do.
+caption_kernels.cache_clear() drops every table with its trajectories.
+Reproduction is qualitative (curve shapes, orderings, constants): the
+published figures do not state the exact spectral-density form.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,29 +46,32 @@ N_POINTS = 201
 
 
 @functools.cache
-def caption_kernels() -> bath.Kernels:
-    """The kernel table of the caption bath on linspace(0, T_MAX,
-    N_POINTS), shared by every build in the process.  Its grid is
-    read-only, as every build's time column and trajectories share it."""
-    return bath.Kernels(np.linspace(0.0, T_MAX, N_POINTS), CAPTION_BATH)
+def _caption(tol: float) -> tuple[bath.Kernels, dict]:
+    """The caption table at tol and its {qubit: trajectory} memo, cached by
+    the tol value alone, however caption_kernels was called."""
+    return (bath.Kernels(np.linspace(0.0, T_MAX, N_POINTS), CAPTION_BATH,
+                         tol), {})
 
 
-# Per caption table: {(qubit, tol): trajectory}.  Weak keys, so a table
-# dropped by caption_kernels.cache_clear() takes its trajectories with it.
-_TRAJECTORIES = weakref.WeakKeyDictionary()
+def caption_kernels(tol: float = DEFAULT_TOL) -> bath.Kernels:
+    """The kernel table of the caption bath and grid at tol, one per tol
+    value, shared by the process; its grid is read-only, as every build's
+    time column and trajectories share it."""
+    return _caption(tol)[0]
+
+
+caption_kernels.cache_clear = _caption.cache_clear
 
 
 def caption_trajectory(p: QubitParams, tol: float = DEFAULT_TOL) -> Trajectory:
-    """The trajectory of qubit p in the caption bath and grid: evolve(p,
-    caption_kernels(), tol=tol), at most once per table and tol, shared by
-    every build that asks for it.  evolve gives a qubit the same
-    trajectory bit for bit on any table of its bath and grid, so sharing
-    moves no output."""
-    kernels = caption_kernels()
-    memo = _TRAJECTORIES.setdefault(kernels, {})
-    if (p, tol) not in memo:
-        memo[p, tol] = evolve(p, kernels, tol=tol)
-    return memo[p, tol]
+    """The trajectory of qubit p in the caption bath and grid at tol,
+    evolved on caption_kernels(tol) at most once per table and shared by
+    every build that asks for it; evolve gives a qubit the same bits on
+    any table of its bath and grid, so sharing moves no output."""
+    kernels, memo = _caption(tol)
+    if p not in memo:
+        memo[p] = evolve(p, kernels)
+    return memo[p]
 
 
 def caption_pt(theta: float = 0.86) -> QubitParams:
@@ -113,13 +112,13 @@ class Preset:
         """(header, columns, max_err): t, then a column per quantity and
         case, grouped by quantity.  The trajectories are caption_trajectory's,
         shared with every other build of the process."""
-        kernels = caption_kernels()
+        kernels = caption_kernels(tol)
         qubits = [p for _, p in self.cases]
         header, cols = ["t"], [kernels.ts]
         max_err = 0.0
         for quantity in self.quantities:
             if quantity == "phase_function":
-                results = [_phase_function(p, kernels, tol) for p in qubits]
+                results = [_phase_function(p, kernels) for p in qubits]
             else:
                 trajs = [caption_trajectory(p, tol) for p in qubits]
                 results = [(_trajectory_column(traj, quantity),
@@ -131,8 +130,8 @@ class Preset:
         return header, cols, max_err
 
 
-def _phase_function(p: QubitParams, kernels: bath.Kernels, tol: float):
-    f, res = phase_function(p, kernels, tol)
+def _phase_function(p: QubitParams, kernels: bath.Kernels):
+    f, res = phase_function(p, kernels)
     # The published PT curves plot the negative of the ramp kernel.
     return (-f if p.symmetry is Symmetry.PT else f,
             float(res.abs_error.max()))

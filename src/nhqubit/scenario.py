@@ -73,7 +73,10 @@ class Scenario:
             raise ConfigError("grid.t_max must be positive")
         # linspace gives i * step, then t_max, distinct iff these hold (for
         # fewer than 2^52 points; the term budget stops longer grids).
-        step = self.t_max / (self.n_points - 1)
+        try:
+            step = self.t_max / (self.n_points - 1)
+        except OverflowError:  # an int n_points beyond the float range
+            step = 0.0
         if not (0 < step and (self.n_points - 2) * step < self.t_max):
             raise ConfigError(
                 f"grid.t_max = {self.t_max!r} is too small for grid.n_points "
@@ -97,13 +100,13 @@ class Scenario:
             return np.linspace(0.0, self.t_max, self.n_points)
 
     def kernels(self) -> bath.Kernels:
-        """A new kernel table of the bath on the grid."""
+        """A new kernel table of the bath on the grid at the tol."""
         # gamma's own budget check, made before the grid is allocated.
         bath.check_terms("gamma", self.t_max, self.n_points)
-        return bath.Kernels(self.times, self.bath)
+        return bath.Kernels(self.times, self.bath, self.tol)
 
     def evolve(self) -> Trajectory:
-        return evolve(self.qubit, self.kernels(), self.initial, self.tol)
+        return evolve(self.qubit, self.kernels(), self.initial)
 
     def describe(self) -> dict:
         return {
@@ -349,8 +352,8 @@ def _damping_exponent(s: Scenario) -> tuple[Trajectory, np.ndarray]:
     """The trajectory of s and its damping exponent omega0^2 gamma, so
     that D = exp(-exponent), with gamma read from the table it evolved on."""
     kernels = s.kernels()
-    traj = evolve(s.qubit, kernels, s.initial, s.tol)
-    return traj, traj.omega0**2 * kernels.gamma(s.tol).value
+    traj = evolve(s.qubit, kernels, s.initial)
+    return traj, traj.omega0**2 * kernels.gamma().value
 
 
 def compare(a: Scenario, b: Scenario, outdir=None) -> dict:

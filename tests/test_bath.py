@@ -24,7 +24,6 @@ class TestGamma:
     def test_frozen_oracle_values(self, caption_bath):
         for t, ref in ((1.0, GAMMA_T1), (5.0, GAMMA_T5)):
             res = bath.gamma(t, caption_bath)
-            assert res.converged
             assert abs(res.value - ref) <= res.abs_error + 1e-12
 
     def test_zero_at_t0(self, caption_bath):
@@ -87,8 +86,13 @@ class TestGamma:
 
     def test_term_budget_caps_the_grid(self):
         bath.check_terms("gamma", 1.0, 263_157)
-        with pytest.raises(QuadratureDivergence, match="budget"):
-            bath.check_terms("gamma", 1.0, 263_158)
+        for n_points, terms in ((263_158, "1e+07"), (10**300, "3.8e+301"),
+                                (10**400, "inf")):
+            with pytest.raises(QuadratureDivergence) as exc:
+                bath.check_terms("gamma", 1.0, n_points)
+            assert str(exc.value) == (
+                f"gamma up to t=1.0: {terms} series terms exceed the budget "
+                "of 10000000")
 
     def test_terms_independent_of_horizon(self, caption_bath):
         short, long = (bath.gamma(np.linspace(0.0, t_max, 201), caption_bath,
@@ -173,30 +177,65 @@ class TestKernels:
                 table(name, 2.0)
 
     def test_gamma_tol_checked_per_read(self, caption_bath):
-        # Each read checks its own tol against the one evaluation.
+        # Every read checks the table's tol against the one evaluation.
         ts = np.linspace(0.0, 20.0, 201)
-        table = bath.Kernels(ts, caption_bath)
+        loose = bath.Kernels(ts, caption_bath, np.inf)
         for name, public in self.THERMAL.items():
-            read = getattr(table, name)
-            tol = 0.5 * float(read(np.inf).abs_error.max())
-            with pytest.raises(QuadratureDivergence) as got:
-                read(tol)
-            with pytest.raises(QuadratureDivergence) as ref:
-                public(ts, caption_bath, tol)
-            assert str(got.value) == str(ref.value)
-            assert str(got.value).startswith(f"{name} at t=")
-            self._assert_same(read(), public(ts, caption_bath))
+            tol = 0.5 * float(getattr(loose, name)().abs_error.max())
+            read = getattr(bath.Kernels(ts, caption_bath, tol), name)
+            for _ in range(2):
+                with pytest.raises(QuadratureDivergence) as got:
+                    read()
+                with pytest.raises(QuadratureDivergence) as ref:
+                    public(ts, caption_bath, tol)
+                assert str(got.value) == str(ref.value)
+                assert str(got.value).startswith(f"{name} at t=")
+            self._assert_same(getattr(loose, name)(),
+                              public(ts, caption_bath))
+
+    def test_tighter_table_same_bits_or_the_public_error(self, caption_bath):
+        # Reads whose bound meets the tighter tol give the default table's
+        # bits; the others raise as the public kernel does at that tol.
+        ts = np.linspace(0.0, 20.0, 201)
+        default = bath.Kernels(ts, caption_bath, 1e-9)
+        reads = [(name, ()) for name in self.THERMAL] + [
+            (name, (theta,)) for name in self.PUBLIC for theta in self.THETAS]
+
+        def read(table, name, args):
+            return (getattr(table, name)() if name in self.THERMAL
+                    else table(name, *args))
+
+        bounds = sorted(float(read(default, name, args).abs_error.max())
+                        for name, args in reads)
+        tol = bounds[len(bounds) // 2]
+        assert tol < 1e-9
+        tight = bath.Kernels(ts, caption_bath, tol)
+        passed = failed = 0
+        for name, args in reads:
+            public = {**self.THERMAL, **self.PUBLIC}[name]
+            try:
+                got = read(tight, name, args)
+            except QuadratureDivergence as exc:
+                with pytest.raises(QuadratureDivergence) as ref:
+                    public(ts, *args, caption_bath, tol)
+                assert str(exc) == str(ref.value)
+                failed += 1
+            else:
+                self._assert_same(got, read(default, name, args))
+                passed += 1
+        assert passed and failed
 
     def test_tol_checked_after_theta_scaling(self, caption_bath):
         # A tol the unit-theta bound meets but 2.5 times it does not.
         ts = np.linspace(0.0, 20.0, 201)
-        table = bath.Kernels(ts, caption_bath)
+        loose = bath.Kernels(ts, caption_bath, np.inf)
         for name, public in self.PUBLIC.items():
-            unit = float(table(name, 1.0, np.inf).abs_error.max())
+            unit = float(loose(name, 1.0).abs_error.max())
             tol = 1.5 * unit
-            table(name, 1.0, tol)
+            table = bath.Kernels(ts, caption_bath, tol)
+            table(name, 1.0)
             with pytest.raises(QuadratureDivergence) as got:
-                table(name, 2.5, tol)
+                table(name, 2.5)
             with pytest.raises(QuadratureDivergence) as ref:
                 public(ts, 2.5, caption_bath, tol)
             assert str(got.value) == str(ref.value)

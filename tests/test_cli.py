@@ -105,6 +105,12 @@ class TestConfigParsing:
                                                "grid.n_points = 2"))
         with pytest.raises(ConfigError, match="n_points"):
             scenario_from_pairs(pairs)
+        # A library caller's int n_points, in and beyond the float range.
+        sc = scenario_from_pairs(_parse_pairs(PT_CONFIG))
+        for n_points in (10**300, 10**400):
+            with pytest.raises(ConfigError, match="repeats a time"):
+                Scenario(qubit=sc.qubit, bath=sc.bath, initial=sc.initial,
+                         t_max=5.0, n_points=n_points, outputs=())
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(t_max=st.one_of(st.integers(1, 5000).map(lambda k: k * 5e-324),
@@ -418,6 +424,16 @@ class TestExitCodes:
 
     def test_quadrature_failure(self, pt_config, tmp_path, monkeypatch,
                                 capsys):
+        # 1e308 times pass the grid check at t_max = 3, and their term
+        # count leaves the float range.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(PT_CONFIG.replace(
+            "grid.t_max = 5.0\ngrid.n_points = 26",
+            "grid.t_max = 3.0\ngrid.n_points = 1e308"))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "l")]) == 4
+        assert capsys.readouterr().err == (
+            "error: gamma up to t=3.0: inf series terms exceed the budget "
+            "of 10000000\n")
         # 26 times need 26 x 38 series terms, more than the patched budget.
         monkeypatch.setattr(bath, "TERM_BUDGET", 50)
         code = cli.main(["run", str(pt_config),

@@ -104,12 +104,15 @@ def test_pass_evolves_each_caption_qubit_once(tmp_path, monkeypatch,
 def test_one_phase_function(preset, cases, sign, fresh_caption_kernels):
     """Each caption trajectory's phase is 2 omega0 t - omega0 F, and the
     phase preset plots F (Anti-PT) or -F (PT), bit for bit, with F from
-    dynamics.phase_function."""
+    dynamics.phase_function.  The build and the test read one table,
+    however its tol is passed."""
     kernels = presets.caption_kernels()
+    assert presets.caption_kernels(DEFAULT_TOL) is kernels
+    assert presets.caption_kernels(tol=DEFAULT_TOL) is kernels
     ts = kernels.ts
     _, columns, _ = PRESETS[preset].build(DEFAULT_TOL)
     for (label, p), column in zip(cases, columns[1:], strict=True):
-        f, _ = dynamics.phase_function(p, kernels, DEFAULT_TOL)
+        f, _ = dynamics.phase_function(p, kernels)
         traj = presets.caption_trajectory(p)
         assert np.array_equal(traj.phase,
                               2.0 * traj.omega0 * ts - traj.omega0 * f), label

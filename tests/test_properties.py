@@ -209,12 +209,12 @@ def test_public_entry_points_raise_only_package_errors(c):
         _call((), bath.moment0, b)
     p = _call((), QubitParams, c["alpha"], theta, c["xi"], c["delta"],
               c["symmetry"])
-    table = None if b is None else _call((), bath.Kernels, ts, b)
+    table = None if b is None else _call((), bath.Kernels, ts, b, tol)
     if p is None or table is None:
         return
     for evolve_class in (evolve_pt, evolve_apt):
         _call((ValueError,), evolve_class, p, b, ts, c["initial"], tol)
-    traj = _call((ValueError,), evolve, p, table, c["initial"], tol)
+    traj = _call((ValueError,), evolve, p, table, c["initial"])
     if traj is None:
         return
     _call((ValueError,), qsl.qsl_series, traj)
