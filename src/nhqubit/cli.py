@@ -24,7 +24,6 @@ from .bath import DEFAULT_TOL
 from .errors import (
     BrokenPhase,
     ConfigError,
-    GridMismatch,
     NhQubitError,
     QuadratureDivergence,
     UsageError,
@@ -40,7 +39,6 @@ EXIT_IO = 5
 
 # (error type, exit code), first match wins.
 _EXIT_CODES = (
-    ((ConfigError, GridMismatch), EXIT_CONFIG),
     (BrokenPhase, EXIT_BROKEN_PHASE),
     (QuadratureDivergence, EXIT_QUADRATURE),
     (NhQubitError, EXIT_CONFIG),

@@ -22,6 +22,7 @@ reads the kernels its class needs, scaling the theta-linear ones by its
 theta.  Calls share kernels by sharing a table, as the presets do.
 evolve_pt and evolve_apt, the only entry points here that take a bath
 and a grid, are evolve on a new table of them, after a class check.
+All three take the eigenframe state at t = 0 as initial (rho0_diag).
 """
 
 from __future__ import annotations
@@ -335,27 +336,27 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
 
 
 def evolve_pt(p: QubitParams, b: BathParams, times,
-              rho0_diag: DensityMatrix | None = None,
+              initial: DensityMatrix | None = None,
               tol: float = DEFAULT_TOL) -> Trajectory:
-    """PT trajectory of p in the bath b on the grid times: evolve on a new
-    table of them, after the class check (ValueError).  The table rejects
-    a grid that is not finite, non-negative and at most 1-D (DomainError)
-    before evolve's checks.  The diagonal-frame state dephases in closed
-    form and is mapped back through T^-1, renormalized to unit trace at
-    each time."""
+    """PT trajectory of p in the bath b on the grid times from the
+    eigenframe state initial: evolve on a new table of them, after the
+    class check (ValueError).  The table rejects a grid that is not
+    finite, non-negative and at most 1-D (DomainError) before evolve's
+    checks.  The diagonal-frame state dephases in closed form and is
+    mapped back through T^-1, renormalized to unit trace at each time."""
     if p.symmetry is not Symmetry.PT:
         raise ValueError("evolve_pt requires PT-class parameters")
-    return evolve(p, bath.Kernels(times, b, tol), rho0_diag)
+    return evolve(p, bath.Kernels(times, b, tol), initial)
 
 
 def evolve_apt(p: QubitParams, b: BathParams, times,
-               rho0: DensityMatrix | None = None,
+               initial: DensityMatrix | None = None,
                tol: float = DEFAULT_TOL) -> Trajectory:
-    """Anti-PT trajectory of p in the bath b on the grid times: evolve on a
-    new table of them, after the class check (ValueError), with the same
-    grid checks as evolve_pt.  In the eigenframe the populations stay
-    frozen and the coherence is damped by D(t) with phase
-    2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
+    """Anti-PT trajectory of p in the bath b on the grid times from the
+    eigenframe state initial: evolve on a new table of them, after the
+    class check (ValueError), with the same grid checks as evolve_pt.  In
+    the eigenframe the populations stay frozen and the coherence is damped
+    by D(t) with phase 2 omega0 t - omega0 [Omega_2(t) - Omega_1(t)]."""
     if p.symmetry is not Symmetry.ANTI_PT:
         raise ValueError("evolve_apt requires Anti-PT-class parameters")
-    return evolve(p, bath.Kernels(times, b, tol), rho0)
+    return evolve(p, bath.Kernels(times, b, tol), initial)

@@ -4,8 +4,10 @@ S_q = (1/(1-q)) log(l1^q + l2^q) over the (clamped) eigenvalues, with the
 distinguished orders S_0 = log rank, S_1 = Von Neumann, S_inf = -log l_max.
 The closed-form Von Neumann entropy in terms of the decoherence function
 D(t) covers the equal-population dephasing trajectories exactly.
+renyi(rho, q) and entropy_series(traj, orders), on the dephasing frame,
+take every order q >= 0; a negative or NaN order raises DomainError.
 Each order is one numpy expression over eigenvalue arrays, evaluated once
-per trajectory by entropy_series and on one state by renyi and the rest.
+per trajectory by entropy_series and on one state by renyi.
 Orders with 0 < |q - 1| < NEAR_ONE take S_q = -log1p(sum l expm1(eps
 log l)) / eps with eps = q - 1 over the renormalised eigenvalues, which
 keeps its digits as q tends to 1; the other orders take
@@ -39,9 +41,9 @@ def _xlogx(x):
     return x * np.log(np.where(x > 0.0, x, 1.0))
 
 
-def _entropy(p1, p2, c, q: float):
-    """S_q, q >= 0, of the states (p1, p2, c), elementwise."""
-    return _spectral_entropy(*eigenvalue_pair(p1, p2, c), q)
+def _check_order(q) -> None:
+    if not q >= 0:  # NaN fails too
+        raise DomainError(f"Renyi order must be non-negative, got {q}")
 
 
 def _spectral_entropy(lo, hi, q: float):
@@ -70,25 +72,10 @@ def _spectral_entropy(lo, hi, q: float):
 
 
 def renyi(rho: DensityMatrix, q: float) -> float:
-    """Renyi entropy of order q > 0; q = 1 gives the Von Neumann entropy."""
-    if q <= 0.0:
-        raise DomainError(f"Renyi order must be positive, got {q}")
-    return float(_entropy(rho.p1, rho.p2, rho.c, q))
-
-
-def renyi0(rho: DensityMatrix) -> float:
-    """Max-entropy: log of the number of eigenvalues above RANK_TOL."""
-    return float(_entropy(rho.p1, rho.p2, rho.c, 0.0))
-
-
-def von_neumann(rho: DensityMatrix) -> float:
-    """S_1 = -sum l_i log l_i with 0 log 0 := 0."""
-    return float(_entropy(rho.p1, rho.p2, rho.c, 1.0))
-
-
-def renyi_inf(rho: DensityMatrix) -> float:
-    """Min-entropy: -log of the largest eigenvalue."""
-    return float(_entropy(rho.p1, rho.p2, rho.c, math.inf))
+    """Renyi entropy of order q >= 0 (S_0, S_1, S_inf at q = 0, 1, inf)."""
+    _check_order(q)
+    return float(_spectral_entropy(*eigenvalue_pair(rho.p1, rho.p2, rho.c),
+                                   q))
 
 
 def von_neumann_closed_form(d):
@@ -106,21 +93,15 @@ def von_neumann_closed_form(d):
     )
 
 
-def entropy_series(traj: Trajectory, orders,
-                   dephasing: bool = True) -> dict[float, np.ndarray]:
+def entropy_series(traj: Trajectory, orders) -> dict[float, np.ndarray]:
     """Evaluate each requested order along the trajectory.
 
     Keys are the orders as given (math.inf allowed); values are per-time
-    arrays in nats.  By default the entropies are taken on the dephasing-
-    frame states, whose spectrum is governed by D(t); pass dephasing=False
-    for the trajectory's own states, the physical-frame ones for PT (for
-    Anti-PT the two coincide).
+    arrays in nats, taken on the dephasing-frame states, whose spectrum is
+    governed by D(t) (for Anti-PT they are the trajectory's own states).
     """
-    frame = (traj.dephasing_frame() if dephasing
-             else (traj.p1, traj.p2, traj.c))
     orders = list(orders)
     for q in orders:
-        if not q >= 0:
-            raise DomainError(f"Renyi order must be non-negative, got {q}")
-    lo, hi = eigenvalue_pair(*frame)
+        _check_order(q)
+    lo, hi = eigenvalue_pair(*traj.dephasing_frame())
     return {q: _spectral_entropy(lo, hi, q) for q in orders}

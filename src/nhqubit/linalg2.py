@@ -170,15 +170,10 @@ class DensityMatrix:
         check_physical(self.p1, self.p2, self.c)
 
     @classmethod
-    def from_matrix(cls, m, normalize: bool = False) -> "DensityMatrix":
+    def from_matrix(cls, m) -> "DensityMatrix":
         a = as_matrix(m)
         if frob(a - a.conj().T) > 1e-12 * max(frob(a), 1.0):
             raise NonPhysicalState("matrix is not Hermitian within tolerance")
-        tr = (a[0, 0] + a[1, 1]).real
-        if normalize:
-            if tr <= 0:
-                raise NonPhysicalState("non-positive trace, cannot normalize")
-            a = a / tr
         return cls(p1=a[0, 0].real, p2=a[1, 1].real, c=complex(a[0, 1]))
 
     @classmethod

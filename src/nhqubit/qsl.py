@@ -164,10 +164,10 @@ def tau_qsl(traj: Trajectory, horizon: float) -> float:
     return _tau(traj, _start_angles(traj), _grid_norms(traj), horizon)
 
 
-def qsl_series(traj: Trajectory, horizon: float | None = None) -> QslSeries:
-    """Per-time angle/norm/velocity plus tau_QSL at `horizon` (grid end by
-    default).  Velocity is NaN wherever the angle singularity applies.  The
-    angle and norm arrays are the trajectory's read-only record."""
+def qsl_series(traj: Trajectory) -> QslSeries:
+    """Per-time angle/norm/velocity plus tau_QSL at the grid end.  Velocity
+    is NaN wherever the angle singularity applies.  The angle and norm
+    arrays are the trajectory's read-only record."""
     angles = _start_angles(traj)
     norms = _grid_norms(traj)
     return QslSeries(
@@ -175,6 +175,5 @@ def qsl_series(traj: Trajectory, horizon: float | None = None) -> QslSeries:
         bures_angle=angles,
         liouvillian_norm=norms,
         v_qsl=_velocity(norms, angles),
-        tau_qsl=_tau(traj, angles, norms,
-                     traj.times[-1] if horizon is None else horizon),
+        tau_qsl=_tau(traj, angles, norms, traj.times[-1]),
     )

@@ -47,6 +47,8 @@ from .errors import ConfigError, DomainError, GridMismatch, NonPhysicalState
 from .linalg2 import DensityMatrix
 
 OUTPUT_KINDS = ("trajectory", "decoherence", "phase", "qsl", "entropy")
+# The Renyi orders of a config without an entropy.orders key.
+DEFAULT_ORDERS = (0.0, 1.0, 2.0, math.inf)
 
 
 def check_tol(tol: float) -> None:
@@ -63,7 +65,7 @@ class Scenario:
     t_max: float
     n_points: int
     outputs: tuple[str, ...]
-    entropy_orders: tuple[float, ...] = (0.0, 1.0, 2.0, math.inf)
+    entropy_orders: tuple[float, ...] = DEFAULT_ORDERS
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
@@ -73,14 +75,16 @@ class Scenario:
             raise ConfigError("grid.t_max must be positive")
         # linspace gives i * step, then t_max, distinct iff these hold (for
         # fewer than 2^52 points; the term budget stops longer grids).
+        shown = self.n_points
         try:
             step = self.t_max / (self.n_points - 1)
-        except OverflowError:  # an int n_points beyond the float range
-            step = 0.0
+        except OverflowError:  # an int n_points beyond the float range,
+            step = 0.0         # maybe beyond str()'s digit limit too
+            shown = f"an integer of {self.n_points.bit_length()} bits"
         if not (0 < step and (self.n_points - 2) * step < self.t_max):
             raise ConfigError(
                 f"grid.t_max = {self.t_max!r} is too small for grid.n_points "
-                f"= {self.n_points}: the time grid repeats a time")
+                f"= {shown}: the time grid repeats a time")
         for i, q in enumerate(self.entropy_orders):
             if not q >= 0:
                 raise ConfigError(f"entropy order must be >= 0, got {q}")
@@ -213,12 +217,11 @@ def scenario_from_pairs(pairs: dict[str, str]) -> Scenario:
     outputs_raw = pairs.pop("outputs", "")
     outputs = tuple(s.strip() for s in outputs_raw.split(",") if s.strip())
 
-    orders_raw = pairs.pop("entropy.orders", "0, 1, 2, inf")
-    orders = []
-    for tok in orders_raw.split(","):
-        tok = tok.strip()
-        if tok:
-            orders.append(_number("entropy.orders", tok))
+    orders = DEFAULT_ORDERS
+    if "entropy.orders" in pairs:
+        orders = tuple(_number("entropy.orders", tok.strip())
+                       for tok in pairs.pop("entropy.orders").split(",")
+                       if tok.strip())
 
     n_points = _get_float(pairs, "grid.n_points")
     if not n_points.is_integer():
@@ -231,7 +234,7 @@ def scenario_from_pairs(pairs: dict[str, str]) -> Scenario:
         t_max=_get_float(pairs, "grid.t_max"),
         n_points=int(n_points),
         outputs=outputs,
-        entropy_orders=tuple(orders),
+        entropy_orders=orders,
         tol=_get_float(pairs, "tol", DEFAULT_TOL),
     )
     if pairs:

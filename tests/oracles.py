@@ -4,7 +4,7 @@ Nothing here shares code with the package internals: the quadrature oracle
 is a fixed-panel composite Gauss-Legendre rule with Richardson-style panel
 doubling, the eigensolver goes through the characteristic polynomial via
 numpy.roots, fidelity takes the eigendecomposition square-root route, and
-the operator norm comes from power iteration on m^dagger m.  Every frozen
+the operator norm comes from repeated squaring of m^dagger m.  Every frozen
 reference value in the tests was produced by these functions.
 """
 
@@ -169,22 +169,40 @@ def brute_fidelity(rho, sigma):
     return float(np.sum(np.sqrt(lam)) ** 2)
 
 
-def brute_opnorm(m, iters=500, seed=7):
-    """Largest singular value by power iteration on m^dagger m.  m is one
+def brute_opnorm(m, iters=500):
+    """Largest singular value by repeated squaring of m^dagger m.  m is one
     2x2 matrix (returns a float) or a stack of shape (..., 2, 2) (returns
-    an array); every matrix starts from the same seeded vector."""
+    an array).
+
+    After k squarings a = (m^dagger m)^(2^k) up to scale, so its columns
+    lean to the top right singular vector v as (s_min/s_max)^(2^(k+1)):
+    near-degenerate pairs converge in a few dozen squarings where power
+    iteration needs millions of steps.  The squaring stops once every a
+    is rank one to 1e-12 (det a <= 1e-12 tr(a)^2) or after iters
+    squarings; a column of a of largest norm then gives |m v| / |v|,
+    whose error is second order in a's remaining rank-two part.
+    """
     m = np.asarray(m, dtype=complex)
+    # Scaling by a power of two is exact and keeps every power of
+    # m^dagger m in range; a zero matrix has exponent 0.
+    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
+    m = (np.ldexp(m.real, -e[..., None, None])
+         + 1j * np.ldexp(m.imag, -e[..., None, None]))
     a = np.swapaxes(m, -1, -2).conj() @ m
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v = np.broadcast_to(v / np.linalg.norm(v), m.shape[:-1])
     for _ in range(iters):
-        w = (a @ v[..., None])[..., 0]
-        nw = np.linalg.norm(w, axis=-1, keepdims=True)
-        # A zero iterate stays zero and gives the norm 0.
-        v = w / np.where(nw == 0.0, 1.0, nw)
-    av = (a @ v[..., None])[..., 0]
-    norm = np.sqrt(np.real(np.sum(v.conj() * av, axis=-1)))
+        det = (a[..., 0, 0] * a[..., 1, 1]).real - np.abs(a[..., 0, 1]) ** 2
+        trace = (a[..., 0, 0] + a[..., 1, 1]).real
+        if np.all(det <= 1e-12 * trace**2):
+            break
+        a = a @ a
+        top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+        a = a / np.where(top == 0.0, 1.0, top)
+    lengths = np.linalg.norm(a, axis=-2)
+    pick = np.argmax(lengths, axis=-1)[..., None, None]
+    v = np.take_along_axis(a, pick, axis=-1)
+    longest = np.take_along_axis(lengths, pick[..., 0], axis=-1)[..., 0]
+    norm = np.ldexp(np.linalg.norm(m @ v, axis=(-2, -1))
+                    / np.where(longest == 0.0, 1.0, longest), e)
     return float(norm) if norm.ndim == 0 else norm
 
 

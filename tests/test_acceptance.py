@@ -51,7 +51,7 @@ def test_criterion_01_zero_order_entropy_constant(pt_traj, apt_traj):
     start = time.perf_counter()
     worst = 0.0
     for traj in (pt_traj, apt_traj):
-        s0 = np.array([entropy.renyi0(s) for s in traj.states[1:]])
+        s0 = np.array([entropy.renyi(s, 0) for s in traj.states[1:]])
         worst = max(worst, float(np.max(np.abs(s0 - LOG2))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -64,7 +64,7 @@ def test_criterion_02_von_neumann_overlay(pt_traj, apt_traj):
     worst = 0.0
     for traj in (pt_traj, apt_traj):
         for s, d in zip(traj.dephasing_states(), traj.decoherence):
-            worst = max(worst, abs(entropy.von_neumann(s)
+            worst = max(worst, abs(entropy.renyi(s, 1)
                                    - entropy.von_neumann_closed_form(d)))
     _report(2, "closed-form Von Neumann entropy matches eigenvalue-route "
                "S1 within 1e-10 at every grid point", worst <= 1e-10,
@@ -77,8 +77,8 @@ def test_criterion_03_renyi_hierarchy(pt_traj, apt_traj):
     rng = np.random.default_rng(42)
     states += [random_state(rng) for _ in range(10_000)]
     for s in states:
-        vals = [entropy.renyi0(s), entropy.von_neumann(s),
-                entropy.renyi(s, 2.0), entropy.renyi_inf(s)]
+        vals = [entropy.renyi(s, 0), entropy.renyi(s, 1),
+                entropy.renyi(s, 2.0), entropy.renyi(s, math.inf)]
         for hi, lo in zip(vals, vals[1:]):
             worst = max(worst, lo - hi)
     _report(3, "S0 >= S1 >= S2 >= S_inf within 1e-10 on trajectories and "

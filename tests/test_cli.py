@@ -107,7 +107,7 @@ class TestConfigParsing:
             scenario_from_pairs(pairs)
         # A library caller's int n_points, in and beyond the float range.
         sc = scenario_from_pairs(_parse_pairs(PT_CONFIG))
-        for n_points in (10**300, 10**400):
+        for n_points in (10**300, 10**400, 10**5000):
             with pytest.raises(ConfigError, match="repeats a time"):
                 Scenario(qubit=sc.qubit, bath=sc.bath, initial=sc.initial,
                          t_max=5.0, n_points=n_points, outputs=())

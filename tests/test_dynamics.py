@@ -156,7 +156,7 @@ class TestEvolveAPT:
     def test_sigma_z_constant(self, caption_bath):
         rho0 = DensityMatrix.from_expectations(sz=0.3, coherence=0.2 + 0.1j)
         traj = evolve_apt(CAPTION_APT, caption_bath,
-                          np.linspace(0.0, 5.0, 21), rho0=rho0)
+                          np.linspace(0.0, 5.0, 21), initial=rho0)
         for s in traj.states:
             assert s.sigma_z() == pytest.approx(0.3, abs=1e-15)
 
@@ -297,6 +297,15 @@ class TestEigenframeRecord:
                                           caption_bath), initial=rho0)
             assert traj.rho0_diag is rho0
 
+    def test_class_entry_points_take_initial(self, caption_bath):
+        rho0 = DensityMatrix.from_expectations(sz=-0.4, coherence=0.1 + 0.2j)
+        ts = np.linspace(0.0, 5.0, 11)
+        table = bath.Kernels(ts, caption_bath)
+        for p, entry in ((CAPTION_PT, evolve_pt), (CAPTION_APT, evolve_apt)):
+            traj = entry(p, caption_bath, ts, initial=rho0)
+            assert traj.rho0_diag is rho0
+            assert np.array_equal(traj.c, evolve(p, table, rho0).c)
+
     def test_phase_function_reads_the_tables_bath(self):
         other = BathParams(j0=0.7, omega_c=2.0, mu=0.3, beta=1.5)
         ts = np.linspace(0.0, 20.0, 201)
@@ -384,7 +393,7 @@ class TestPTAssembly:
             rho0 = DensityMatrix.from_expectations(
                 sz=rng.uniform(-0.5, 0.5), coherence=0.3 * np.exp(
                     2j * np.pi * rng.uniform()))
-            traj = evolve_pt(p, caption_bath, ts, rho0_diag=rho0)
+            traj = evolve_pt(p, caption_bath, ts, initial=rho0)
             t_inv = np.linalg.inv(transformation_matrix(p))
             coherences = rho0.c * np.exp(1j * traj.phase) * traj.decoherence
             for i, c in enumerate(coherences):

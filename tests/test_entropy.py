@@ -10,7 +10,7 @@ from conftest import CAPTION_APT, CAPTION_PT, count_calls, random_state
 from nhqubit import bath, entropy
 from nhqubit.dynamics import evolve, evolve_apt
 from nhqubit.errors import DomainError
-from nhqubit.linalg2 import DensityMatrix
+from nhqubit.linalg2 import DensityMatrix, eigenvalue_pair
 
 
 def state_with_eigenvalues(lo, hi):
@@ -30,13 +30,15 @@ class TestRenyi:
         rng = np.random.default_rng(11)
         for _ in range(50):
             rho = random_state(rng)
-            assert entropy.renyi(rho, 1.0) == entropy.von_neumann(rho)
+            lo, hi = eigenvalue_pair(rho.p1, rho.p2, rho.c)
+            assert entropy.renyi(rho, 1.0) == max(
+                -entropy._xlogx(lo) - entropy._xlogx(hi), 0.0)
 
     def test_continuity_at_q_one(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             rho = random_state(rng)
-            s1 = entropy.von_neumann(rho)
+            s1 = entropy.renyi(rho, 1.0)
             below = entropy.renyi(rho, 1.0 - 1e-6)
             above = entropy.renyi(rho, 1.0 + 1e-6)
             assert abs(below - s1) < 1e-4
@@ -45,9 +47,16 @@ class TestRenyi:
 
     def test_nonpositive_order_rejected(self):
         rho = DensityMatrix.plus()
-        for q in (0.0, -1.0):
-            with pytest.raises(DomainError):
+        for q in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="non-negative"):
                 entropy.renyi(rho, q)
+
+    def test_zero_order_matches_series(self, caption_bath):
+        traj = evolve_apt(CAPTION_APT, caption_bath,
+                          np.linspace(0.0, 5.0, 21))
+        table = entropy.entropy_series(traj, [0.0])
+        for s, s0 in zip(traj.dephasing_states(), table[0.0]):
+            assert entropy.renyi(s, 0) == s0
 
     def test_pure_state_all_orders_zero(self):
         rho = DensityMatrix.plus()
@@ -84,7 +93,7 @@ class TestRenyiLargeOrder:
         rng = np.random.default_rng(14)
         for _ in range(200):
             rho = random_state(rng)
-            s_inf = entropy.renyi_inf(rho)
+            s_inf = entropy.renyi(rho, math.inf)
             previous = entropy.renyi(rho, 2.0)
             for q in self.LARGE:
                 s_q = entropy.renyi(rho, q)
@@ -154,15 +163,16 @@ class TestRenyiNearOrderOne:
 
 class TestRenyi0:
     def test_rank_counting(self):
-        assert entropy.renyi0(DensityMatrix.plus()) == 0.0
-        assert entropy.renyi0(state_with_eigenvalues(0.3, 0.7)) == math.log(2)
+        assert entropy.renyi(DensityMatrix.plus(), 0) == 0.0
+        assert entropy.renyi(state_with_eigenvalues(0.3, 0.7),
+                             0) == math.log(2)
 
     def test_rank_tolerance_edge(self):
         eps = 1e-13  # below RANK_TOL: does not count toward the rank
         rho = state_with_eigenvalues(eps, 1.0 - eps)
-        assert entropy.renyi0(rho) == 0.0
+        assert entropy.renyi(rho, 0) == 0.0
         rho = state_with_eigenvalues(1e-11, 1.0 - 1e-11)
-        assert entropy.renyi0(rho) == math.log(2)
+        assert entropy.renyi(rho, 0) == math.log(2)
 
 
 class TestVonNeumann:
@@ -179,7 +189,7 @@ class TestVonNeumann:
     def test_closed_form_equals_eigen_route(self):
         for d in (0.0, 0.1, 0.5, 0.9, 1.0):
             rho = DensityMatrix(p1=0.5, p2=0.5, c=0.5 * d + 0.0j)
-            assert entropy.von_neumann(rho) == pytest.approx(
+            assert entropy.renyi(rho, 1) == pytest.approx(
                 entropy.von_neumann_closed_form(d), abs=1e-12
             )
 
@@ -198,10 +208,10 @@ class TestVonNeumann:
 class TestRenyiInf:
     def test_frozen_value(self):
         rho = state_with_eigenvalues(0.25, 0.75)
-        assert entropy.renyi_inf(rho) == pytest.approx(
+        assert entropy.renyi(rho, math.inf) == pytest.approx(
             -math.log(0.75), abs=1e-12
         )
-        assert abs(entropy.renyi_inf(rho) - 0.287682) < 1e-6
+        assert abs(entropy.renyi(rho, math.inf) - 0.287682) < 1e-6
 
 
 class TestHierarchy:
@@ -209,10 +219,8 @@ class TestHierarchy:
         rng = np.random.default_rng(14)
         for _ in range(1000):
             rho = random_state(rng)
-            s0 = entropy.renyi0(rho)
-            s1 = entropy.von_neumann(rho)
-            s2 = entropy.renyi(rho, 2.0)
-            sinf = entropy.renyi_inf(rho)
+            s0, s1, s2, sinf = (entropy.renyi(rho, q)
+                                for q in (0, 1, 2, math.inf))
             assert s0 >= s1 - 1e-10
             assert s1 >= s2 - 1e-10
             assert s2 >= sinf - 1e-10
@@ -231,20 +239,17 @@ class TestSeries:
         assert table[0][0] == 0.0
         assert np.all(table[0][1:] == math.log(2.0))
 
-    @pytest.mark.parametrize("dephasing", [True, False])
-    def test_one_spectrum_per_call(self, caption_bath, monkeypatch,
-                                   dephasing):
+    def test_one_spectrum_per_call(self, caption_bath, monkeypatch):
         orders = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 5.5, 6.0,
                   math.inf]
         table = bath.Kernels(np.linspace(0.0, 20.0, 301), caption_bath)
         trajs = [evolve(p, table) for p in (CAPTION_PT, CAPTION_APT)]
-        expected = [{q: entropy._entropy(*(traj.dephasing_frame()
-                                           if dephasing else
-                                           (traj.p1, traj.p2, traj.c)), q)
+        expected = [{q: entropy._spectral_entropy(
+                        *eigenvalue_pair(*traj.dephasing_frame()), q)
                      for q in orders} for traj in trajs]
         calls = count_calls(monkeypatch, entropy, "eigenvalue_pair")
         for traj, want in zip(trajs, expected):
-            table = entropy.entropy_series(traj, iter(orders), dephasing)
+            table = entropy.entropy_series(traj, iter(orders))
             assert list(table) == orders
             for q in orders:
                 assert np.array_equal(table[q], want[q])
