@@ -12,7 +12,13 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - the PT state assembly T^-1 rho_d T^-dagger / tr at n = 201
 - dynamics.evolve(p, table) calls of the caption PT and Anti-PT qubits
   at n = 201 on a filled table, so each row times the trajectory
-  assembly alone
+  assembly alone: D, the phase and the eigenframe coherence (and
+  Anti-PT's analytic norm), not the PT frame map, which a trajectory
+  runs on the first read of its states
+- pt_frame_201: that first read, traj.p1 on a fresh dataclasses.replace
+  copy of the caption PT trajectory at n = 201 (T, np.linalg.inv, the
+  state assembly and the physicality check); on a checkout whose
+  Trajectory holds its states as fields, the row is the copy alone
 - one build each of the presets fig_pt_decoherence and fig_apt_qsl:
   every timed build finds the shared kernel table
   (presets.caption_kernels) filled and its cases evolved, as all builds
@@ -32,7 +38,8 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - qsl.qsl_series plus qsl.tau_qsl at 10 horizons, on the caption PT and
   Anti-PT qubits at n = 301 (the analysis workload's grid), each call on
   a fresh dataclasses.replace copy of the trajectory, so no call finds
-  speed-limit series that an earlier one computed
+  speed-limit series that an earlier one computed; the fresh copies
+  derive their states too (for PT, the frame map of pt_frame_201)
 - entropy.entropy_series over 12 orders on both of those trajectories
 - Trajectory.dephasing_frame() of that PT trajectory: the eigenframe
   states the entropies are defined on
@@ -183,6 +190,7 @@ def calls_for(src: Path, csv_path: Path) -> dict:
     for label, p in (("pt", qubit), ("apt", presets.caption_apt())):
         dynamics.evolve(p, table)  # fills the table
         calls[f"evolve_{label}_201"] = lambda p=p: dynamics.evolve(p, table)
+    calls["pt_frame_201"] = lambda traj=traj: dataclasses.replace(traj).p1
 
     for name in ("fig_pt_decoherence", "fig_apt_qsl"):
         calls[f"build_{name}"] = (

@@ -10,6 +10,8 @@ its own working directory under one temporary directory:
 - `list-presets` and `run --preset NAME` for every preset it lists
 - PT and Anti-PT configs with all five outputs, entropy orders
   0, 0.5, 1, 2, 3, inf and an initial state other than |+>
+- a PT config that reads no state (decoherence, phase and entropy at
+  orders 0.25, 1, 1.5, 4, inf), so its frame map never runs
 - a long-horizon (t_max = 100) decoherence-and-phase config
 - `compare` of the PT config and a copy at another theta, with --out
 - failing cases: an exceptional point (exit 3), a preset at --tol 1e-30
@@ -67,6 +69,11 @@ CONFIG_CASES = {
         ["run", "a.cfg", "--out", "out"]),
     "apt-all-outputs": (
         {"a.cfg": _config(symmetry="AntiPT", initial=TILTED, extra=ORDERS)},
+        ["run", "a.cfg", "--out", "out"]),
+    "pt-no-states": (
+        {"a.cfg": _config(initial=TILTED,
+                          outputs="decoherence, phase, entropy",
+                          extra="entropy.orders = 0.25, 1, 1.5, 4, inf\n")},
         ["run", "a.cfg", "--out", "out"]),
     "long-horizon": (
         {"a.cfg": _config(t_max=100.0, n_points=41,

@@ -4,14 +4,17 @@ Both symmetry classes evolve the same way.  A similarity transformation T
 (the Dyson map) takes the qubit to the eigenframe of H, where it
 dephases in closed form: populations frozen, coherence c0 exp(i phase)
 D(t) with damping D(t) = exp(-omega0^2 gamma(t)) and phase 2 omega0 t -
-omega0 F(t), F being the class's phase function (phase_function).  The
-frame is the only difference: PT states are mapped back to the physical
-frame through T^-1; Anti-PT states stay in the eigenframe of H, where
-they evolve under diag(exp(-i E t)).  Both keep the eigenframe state,
-on which the entropies are defined (Trajectory.dephasing_frame).
+omega0 F(t), F being the class's phase function (phase_function).
+evolve computes D, the phase and that eigenframe state
+(Trajectory.dephasing_frame), on which the entropies are defined.
 
-A Trajectory holds the states as arrays over the time grid; DensityMatrix
-objects are built only on request (Trajectory.states).
+The frame of the states is the only difference, and a trajectory derives
+its states on their first read: PT states are mapped back to the
+physical frame through T^-1; Anti-PT states stay in the eigenframe of H,
+where they evolve under diag(exp(-i E t)).  A run that reads no state
+(D, the phase, the entropies) never pays the PT map.  A Trajectory holds
+the states as arrays over the time grid; DensityMatrix objects are built
+only on request (Trajectory.states).
 
 evolve(p, table) evolves one qubit on one bath.Kernels table, as
 whole-array passes over the grid.  gamma(t), d gamma/dt and Omega,
@@ -97,53 +100,92 @@ class SpectralSplit:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid with per-time states, damping and accumulated phase.
+    """Time grid with damping, accumulated phase and the states they give.
 
-    p1[i], p2[i] and c[i] are the populations and upper coherence of the
-    state at times[i], checked physical on construction: the physical-frame
-    state for PT, the eigenframe state for Anti-PT.
     phase[i] is the coherence phase accumulated since t = 0 (the initial
     coherence's own argument is not included).  Both classes keep the
     eigenframe state: rho0_diag at t = 0 and the coherence c_diag =
-    rho0_diag.c exp(i phase) decoherence (for Anti-PT, c's buffer).  For
-    Anti-PT lnorm_analytic holds |d rho/dt|_op from the closed form.
+    rho0_diag.c exp(i phase) decoherence.  For Anti-PT lnorm_analytic
+    holds |d rho/dt|_op from the closed form.  qubit is the qubit the
+    trajectory was evolved from, of its symmetry class (ValueError
+    otherwise); a PT trajectory needs it for its frame.
+
+    p1[i], p2[i] and c[i] are the populations and upper coherence of the
+    state at times[i]: the physical-frame state T^-1 rho_d T^-dagger / tr
+    for PT, the eigenframe state for Anti-PT (c is c_diag itself).  They
+    are derived from rho0_diag and c_diag on their first read and checked
+    physical there, so that read raises the frame's DomainError (naming
+    the qubit) or NonPhysicalState; what reads only D, the phase or the
+    entropies never derives them.
 
     The trajectory is frozen and its arrays are read-only views, so what
     is derived from them cannot go stale and a trajectory can be shared
-    (the presets share theirs across builds): nhqubit.qsl computes the
-    Bures angles from state 0 and the Liouvillian norms once per
-    trajectory, on first use, and keeps them in a private record that
-    every speed-limit call reads.  dataclasses.replace starts a fresh
-    record.
+    (the presets share theirs across builds): the states, and the Bures
+    angles from state 0 and the Liouvillian norms that nhqubit.qsl
+    computes, are each derived once per trajectory, on first use, and
+    kept read-only in a private record that every later read uses.
+    dataclasses.replace starts a fresh record.
     """
 
     symmetry: Symmetry
     omega0: float
     times: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    c: np.ndarray
     decoherence: np.ndarray
     phase: np.ndarray
     max_quad_error: float
     rho0_diag: DensityMatrix
     c_diag: np.ndarray
     lnorm_analytic: np.ndarray | None = None
-    # Series name -> read-only array, filled by nhqubit.qsl.
-    _qsl: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
+    qubit: QubitParams | None = None
+    # Derived name -> read-only array(s): "states" here, the speed-limit
+    # series in nhqubit.qsl.
+    _record: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
+        if self.qubit is None:
+            if self.symmetry is Symmetry.PT:
+                raise ValueError("a PT trajectory needs its qubit for the "
+                                 "frame map")
+        elif self.qubit.symmetry is not self.symmetry:
+            raise ValueError(f"trajectory symmetry {self.symmetry.value} "
+                             "differs from its qubit's, "
+                             f"{self.qubit.symmetry.value}")
         for name in _ARRAYS:
             value = getattr(self, name)
             if value is not None:
                 view = np.asarray(value).view()
                 view.flags.writeable = False
                 object.__setattr__(self, name, view)
-        check_physical(self.p1, self.p2, self.c)
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def p1(self) -> np.ndarray:
+        return self._frame()[0]
+
+    @property
+    def p2(self) -> np.ndarray:
+        return self._frame()[1]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self._frame()[2]
+
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(p1, p2, c), derived from the dephasing frame on first read and
+        kept, read-only, in the record."""
+        states = self._record.get("states")
+        if states is None:
+            states = self.dephasing_frame()
+            if self.symmetry is Symmetry.PT:
+                states = _physical_frame(self.qubit, *states)
+            check_physical(*states)
+            for array in states:
+                array.flags.writeable = False
+            self._record["states"] = states
+        return states
 
     @property
     def states(self) -> list[DensityMatrix]:
@@ -155,7 +197,7 @@ class Trajectory:
         """(p1, p2, c) in the frame where dephasing is diagonal: populations
         frozen at rho0_diag's, coherence c_diag (the stored array itself).
         The entropies are defined on these states; for Anti-PT they are the
-        trajectory's own eigenframe states."""
+        trajectory's own states."""
         n = len(self)
         return (np.full(n, self.rho0_diag.p1), np.full(n, self.rho0_diag.p2),
                 self.c_diag)
@@ -165,8 +207,7 @@ class Trajectory:
         return _states(*self.dephasing_frame())
 
 
-_ARRAYS = ("times", "p1", "p2", "c", "decoherence", "phase", "c_diag",
-           "lnorm_analytic")
+_ARRAYS = ("times", "decoherence", "phase", "c_diag", "lnorm_analytic")
 
 
 def _states(p1, p2, c) -> list[DensityMatrix]:
@@ -253,6 +294,22 @@ def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
     return phys
 
 
+def _physical_frame(p: QubitParams, p1, p2, coherences):
+    """(p1, p2, c) of the PT qubit p's physical-frame states, mapped
+    through T^-1 from the eigenframe states (p1, p2, coherences); raises
+    DomainError naming the qubit where the map leaves the floating-point
+    range (errors.float_range)."""
+    with float_range(DomainError, f"{p.symmetry.value} trajectory",
+                     f" ({p._values()})"):
+        # T's entries scale as omega0: T / 2^e, with e the exponent of its
+        # largest entry, keeps T^-1 rho_d T^-dagger in range, and the scale
+        # is exact and cancels in the trace division.
+        t = transformation_matrix(p)
+        scale = np.ldexp(1.0, -np.frexp(np.abs(t).max())[1])
+        phys = _physical_states(np.linalg.inv(t * scale), p1, p2, coherences)
+    return phys[:, 0, 0].real, phys[:, 1, 1].real, phys[:, 0, 1]
+
+
 def phase_function(p: QubitParams, kernels: bath.Kernels):
     """(F, result): the phase function on the table kernels, and the
     kernel result it read, with F's error bound.
@@ -271,20 +328,24 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
     the bath.Kernels table kernels.
 
     initial is the eigenframe state at t = 0 (|+> by default).  It dephases
-    in closed form; PT states go to the physical frame through T^-1,
-    Anti-PT ones stay in the eigenframe and carry their analytic
-    Liouvillian norm, and both keep the eigenframe state as rho0_diag and
-    c_diag.  The trajectory's times are the table's grid.
+    in closed form, and the trajectory keeps it as rho0_diag and c_diag;
+    Anti-PT trajectories also carry their analytic Liouvillian norm.  The
+    states (p1, p2, c: the physical frame through T^-1 for PT, the
+    eigenframe for Anti-PT) are derived on their first read, not here.
+    The trajectory's times are the table's grid.
 
     The qubit scales the theta-linear kernels by its theta before the tol
     check, so its trajectory is the same bit for bit on every table of its
     bath and grid whose tol its reads meet, and qubits share kernels by
-    sharing one table: [evolve(p, table) for p in sweep].  BrokenPhase at the exceptional
-    point comes first, then ValueError unless the table's grid is a
-    non-empty 1-D grid starting at 0 and strictly increasing, then the
-    kernel reads (gamma, d gamma/dt for Anti-PT, the phase kernels), all
-    before the arithmetic, which raises DomainError naming the qubit where
-    it leaves the floating-point range (errors.float_range).
+    sharing one table: [evolve(p, table) for p in sweep].  BrokenPhase at
+    the exceptional point comes first, then ValueError unless the table's
+    grid is a non-empty 1-D grid starting at 0 and strictly increasing,
+    then the kernel reads (gamma, d gamma/dt for Anti-PT, the phase
+    kernels), all before the arithmetic, which raises DomainError naming
+    the qubit where it leaves the floating-point range
+    (errors.float_range).  The PT frame's DomainError and either class's
+    NonPhysicalState keep their types and messages but are raised by the
+    first read of the states.
     """
     omega0 = split(p).omega0
     if omega0 <= 0.0:
@@ -312,27 +373,17 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
         damping = np.exp(-(omega0**2) * g.value)
         phases = 2.0 * omega0 * ts - omega0 * f
         coherences = initial.c * np.exp(1j * phases) * damping
-        p1, p2 = np.full(len(ts), initial.p1), np.full(len(ts), initial.p2)
-        c, lnorm = coherences, None
+        lnorm = None
         if anti:
             # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
             dphi = 2.0 * omega0 - omega0 * (do2 - do1.value)
             lnorm = np.abs(coherences) * np.hypot(dphi, omega0**2 * dg.value)
-        else:
-            # T's entries scale as omega0: T / 2^e, with e the exponent of
-            # its largest entry, keeps T^-1 rho_d T^-dagger in range, and
-            # the scale is exact and cancels in the trace division.
-            t = transformation_matrix(p)
-            scale = np.ldexp(1.0, -np.frexp(np.abs(t).max())[1])
-            phys = _physical_states(np.linalg.inv(t * scale), p1, p2,
-                                    coherences)
-            p1, p2, c = phys[:, 0, 0].real, phys[:, 1, 1].real, phys[:, 0, 1]
 
     return Trajectory(
-        symmetry=p.symmetry, omega0=omega0, times=ts, p1=p1, p2=p2, c=c,
-        decoherence=damping, phase=phases,
+        symmetry=p.symmetry, omega0=omega0, times=ts, decoherence=damping,
+        phase=phases,
         max_quad_error=float(max(r.abs_error.max() for r in reads)),
-        rho0_diag=initial, c_diag=coherences, lnorm_analytic=lnorm)
+        rho0_diag=initial, c_diag=coherences, lnorm_analytic=lnorm, qubit=p)
 
 
 def evolve_pt(p: QubitParams, b: BathParams, times,
@@ -342,8 +393,9 @@ def evolve_pt(p: QubitParams, b: BathParams, times,
     eigenframe state initial: evolve on a new table of them, after the
     class check (ValueError).  The table rejects a grid that is not
     finite, non-negative and at most 1-D (DomainError) before evolve's
-    checks.  The diagonal-frame state dephases in closed form and is
-    mapped back through T^-1, renormalized to unit trace at each time."""
+    checks.  The diagonal-frame state dephases in closed form; its states,
+    mapped back through T^-1 and renormalized to unit trace at each time,
+    are derived on their first read."""
     if p.symmetry is not Symmetry.PT:
         raise ValueError("evolve_pt requires PT-class parameters")
     return evolve(p, bath.Kernels(times, b, tol), initial)

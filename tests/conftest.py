@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for `import oracles`
 
 import oracles
-from nhqubit import bath, presets
+from nhqubit import bath, dynamics, presets
 from nhqubit.bath import BathParams
 from nhqubit.dynamics import QubitParams, Symmetry
 from nhqubit.linalg2 import DensityMatrix
@@ -60,6 +60,15 @@ def count_calls(monkeypatch, module, *names) -> dict[str, int]:
     for name in names:
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     return calls
+
+
+@pytest.fixture
+def frame_maps(monkeypatch):
+    """The live counts of the PT frame map's np.linalg.inv and
+    dynamics._physical_states calls, as a function of no arguments."""
+    inv = count_calls(monkeypatch, np.linalg, "inv")
+    states = count_calls(monkeypatch, dynamics, "_physical_states")
+    return lambda: {**inv, **states}
 
 
 def count_evaluations(monkeypatch) -> dict[str, int]:

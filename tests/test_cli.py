@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhqubit import bath, cli, scenario
+from nhqubit import bath, cli, dynamics, scenario
 from nhqubit.errors import ConfigError, GridMismatch
 from nhqubit.presets import PRESETS
 from nhqubit.scenario import (
@@ -320,6 +320,66 @@ class TestCompare:
         )
         with pytest.raises(GridMismatch):
             scenario.compare(load_scenario(pt_config), other)
+
+
+class TestFrameOnFirstRead:
+    """A PT trajectory maps its states to the physical frame on their
+    first read, so a run that writes no state never maps them."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "a.cfg", "--out", "o"], id="run"),
+        pytest.param(["compare", "a.cfg", "b.cfg", "--out", "o"],
+                     id="compare"),
+        pytest.param(["run", "--preset", "fig_pt_decoherence", "--out", "o"],
+                     id="fig_pt_decoherence"),
+    ])
+    def test_no_state_written_no_frame_mapped(self, tmp_path, monkeypatch,
+                                              frame_maps, argv,
+                                              fresh_caption_kernels):
+        text = PT_CONFIG.replace(
+            "outputs = decoherence, entropy, qsl",
+            "outputs = decoherence, phase, entropy\n"
+            "entropy.orders = 0.5, 1, 3, inf")
+        (tmp_path / "a.cfg").write_text(text)
+        (tmp_path / "b.cfg").write_text(
+            text.replace("qubit.theta = 0.86", "qubit.theta = 0.5"))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        assert frame_maps() == {"inv": 0, "_physical_states": 0}
+
+    @pytest.mark.parametrize("outputs", ["trajectory", "qsl",
+                                         "trajectory, qsl, decoherence"])
+    def test_each_state_output_run_maps_once(self, tmp_path, frame_maps,
+                                            outputs):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(PT_CONFIG.replace("decoherence, entropy, qsl",
+                                         outputs))
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert frame_maps() == {"inv": 1, "_physical_states": 1}
+
+    def test_frame_error_only_where_a_state_is_written(self, tmp_path,
+                                                       monkeypatch, capsys):
+        """A frame map that leaves the float range fails the run that
+        writes the states, with evolve's message, and no other run."""
+        monkeypatch.setattr(dynamics, "transformation_matrix",
+                            lambda p: np.diag([1.0, 1e-300]).astype(complex))
+        cfg = tmp_path / "a.cfg"
+        for outputs, code in (("decoherence, phase, entropy", 0),
+                              ("trajectory", 2), ("qsl", 2)):
+            cfg.write_text(PT_CONFIG.replace("decoherence, entropy, qsl",
+                                             outputs))
+            out = tmp_path / outputs.replace(", ", "_")
+            assert cli.main(["run", str(cfg), "--out", str(out)]) == code
+            err = capsys.readouterr().err.splitlines()
+            if code:
+                assert len(err) == 1 and err[0].startswith(
+                    "error: PT trajectory: ")
+                assert err[0].endswith("outside the floating-point range "
+                                       "(alpha=1.0, theta=0.86, xi=0.81, "
+                                       "delta=0.56)")
+                assert list(out.iterdir()) == []
+            else:
+                assert err == []
 
 
 class TestCliVerbs:

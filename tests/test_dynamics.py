@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import CAPTION_APT, CAPTION_BATH, CAPTION_PT, count_evaluations
-from nhqubit import bath, presets
+from nhqubit import bath, dynamics, entropy, presets, qsl
 from nhqubit.bath import BathParams
 from nhqubit.dynamics import (
     QubitParams,
@@ -19,7 +20,8 @@ from nhqubit.dynamics import (
     split,
     transformation_matrix,
 )
-from nhqubit.errors import BrokenPhase, DomainError, QuadratureDivergence
+from nhqubit.errors import (BrokenPhase, DomainError, NonPhysicalState,
+                             QuadratureDivergence)
 from nhqubit.linalg2 import DensityMatrix
 
 GAMMA_T1 = 13.606317734925256  # frozen oracle value, caption bath
@@ -318,6 +320,111 @@ class TestEigenframeRecord:
         caption, _ = phase_function(CAPTION_APT,
                                     bath.Kernels(ts, CAPTION_BATH))
         assert not np.allclose(f_apt, caption)
+
+
+class TestStatesOnFirstRead:
+    """p1, p2 and c are derived from the eigenframe state on their first
+    read and kept, so what reads only D, the phase or the entropies never
+    maps a PT frame, and what reads the states maps it once."""
+
+    GRID = np.linspace(0.0, 20.0, 201)
+    NO_MAP = {"inv": 0, "_physical_states": 0}
+    ONE_MAP = {"inv": 1, "_physical_states": 1}
+
+    def test_first_read_maps_once(self, caption_bath, frame_maps):
+        traj = evolve(CAPTION_PT, bath.Kernels(self.GRID, caption_bath))
+        entropy.entropy_series(traj, [0.0, 1.0, 2.0, math.inf])
+        traj.dephasing_states()
+        assert frame_maps() == self.NO_MAP
+        p1 = traj.p1
+        assert frame_maps() == self.ONE_MAP
+        traj.p2, traj.c, traj.states, qsl.qsl_series(traj)
+        assert traj.p1 is p1
+        assert frame_maps() == self.ONE_MAP
+
+    def test_presets_map_each_pt_qubit_once(self, frame_maps,
+                                            fresh_caption_kernels):
+        presets.PRESETS["fig_pt_decoherence"].build(bath.DEFAULT_TOL)
+        assert frame_maps() == self.NO_MAP
+        seven = {"inv": 7, "_physical_states": 7}
+        presets.PRESETS["fig_pt_qsl"].build(bath.DEFAULT_TOL)
+        assert frame_maps() == seven
+        presets.PRESETS["fig_pt_qsl"].build(bath.DEFAULT_TOL)
+        presets.caption_trajectory(presets.caption_pt()).states
+        assert frame_maps() == seven
+
+    @pytest.mark.parametrize("p", [CAPTION_PT, CAPTION_APT],
+                             ids=["pt", "apt"])
+    def test_states_match_the_frame_map_bitwise(self, caption_bath, p):
+        """T^-1 rho_d T^-dagger / tr with T scaled by a power of two for
+        PT, the eigenframe state itself for Anti-PT."""
+        rho0 = DensityMatrix.from_expectations(sz=0.3, coherence=0.2 - 0.1j)
+        traj = evolve(p, bath.Kernels(self.GRID, caption_bath), rho0)
+        n = len(traj)
+        want = (np.full(n, rho0.p1), np.full(n, rho0.p2),
+                rho0.c * np.exp(1j * traj.phase) * traj.decoherence)
+        if p.symmetry is Symmetry.PT:
+            t = transformation_matrix(p)
+            scale = np.ldexp(1.0, -np.frexp(np.abs(t).max())[1])
+            phys = dynamics._physical_states(np.linalg.inv(t * scale), *want)
+            want = phys[:, 0, 0].real, phys[:, 1, 1].real, phys[:, 0, 1]
+        else:
+            assert traj.c is traj.c_diag
+        for got, ref in zip((traj.p1, traj.p2, traj.c), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("p", [CAPTION_PT, CAPTION_APT],
+                             ids=["pt", "apt"])
+    def test_read_only_and_derived_afresh_by_replace(self, caption_bath,
+                                                      frame_maps, p):
+        traj = evolve(p, bath.Kernels(self.GRID, caption_bath))
+        states = traj.p1, traj.p2, traj.c
+        for array in states:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        copy = dataclasses.replace(traj)
+        for got, first in zip((copy.p1, copy.p2, copy.c), states):
+            assert got is not first and np.array_equal(got, first)
+            assert not got.flags.writeable
+        maps = 2 if p.symmetry is Symmetry.PT else 0
+        assert frame_maps() == {"inv": maps, "_physical_states": maps}
+
+    def test_frame_needs_a_qubit_of_the_class(self, caption_bath):
+        traj = evolve(CAPTION_APT, bath.Kernels(self.GRID, caption_bath))
+        # Anti-PT states are eigenframe states, which need no qubit.
+        copy = dataclasses.replace(traj, qubit=None)
+        assert copy.c is copy.c_diag
+        with pytest.raises(ValueError, match="PT trajectory needs its qubit"):
+            dataclasses.replace(traj, symmetry=Symmetry.PT, qubit=None)
+        with pytest.raises(ValueError, match="symmetry PT differs from its "
+                           "qubit's, AntiPT"):
+            dataclasses.replace(traj, symmetry=Symmetry.PT)
+
+    def test_frame_errors_are_raised_by_every_read(self, caption_bath,
+                                                   monkeypatch):
+        """The frame's DomainError and NonPhysicalState keep their types
+        and messages; evolve, D, the phase and the entropies raise
+        neither."""
+        table = bath.Kernels(self.GRID, caption_bath)
+        monkeypatch.setattr(dynamics, "transformation_matrix",
+                            lambda p: np.diag([1.0, 1e-300]).astype(complex))
+        traj = evolve(CAPTION_PT, table)
+        entropy.entropy_series(traj, [1.0])
+        for read in (lambda: traj.p1, lambda: traj.states,
+                     lambda: qsl.qsl_series(traj)):
+            with pytest.raises(DomainError, match=(
+                    r"^PT trajectory: overflow .*, outside the floating-point "
+                    r"range \(alpha=1\.0, theta=0\.86, xi=0\.81, "
+                    r"delta=0\.56\)$")):
+                read()
+        monkeypatch.undo()
+        physical = dynamics._physical_states
+        monkeypatch.setattr(dynamics, "_physical_states",
+                            lambda *args: 2.0 * physical(*args))
+        traj = evolve(CAPTION_PT, table)
+        for _ in range(2):
+            with pytest.raises(NonPhysicalState, match=r"^trace 2\.0 != 1"):
+                traj.c
 
 
 class TestFloatRange:

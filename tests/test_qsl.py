@@ -25,21 +25,18 @@ def apt_traj(caption_bath):
 
 
 def _synthetic_rotation(n=401, t_max=2.0, rate=1.3, amplitude=0.4):
-    """Pure phase wobble: |c| constant, gamma identically zero."""
+    """Pure phase wobble: |c| constant, gamma identically zero.  The states
+    are the eigenframe ones, populations 0.5 and coherence c_diag."""
     ts = np.linspace(0.0, t_max, n)
-    c = amplitude * np.exp(1j * rate * ts)
     return Trajectory(
         symmetry=Symmetry.ANTI_PT,
         omega0=1.0,
         times=ts,
-        p1=np.full(n, 0.5),
-        p2=np.full(n, 0.5),
-        c=c,
         decoherence=np.ones(n),
         phase=rate * ts,
         max_quad_error=0.0,
         rho0_diag=DensityMatrix(p1=0.5, p2=0.5, c=complex(amplitude)),
-        c_diag=c,
+        c_diag=amplitude * np.exp(1j * rate * ts),
     )
 
 
