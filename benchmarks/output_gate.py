@@ -13,10 +13,12 @@ its own working directory under one temporary directory:
 - a PT config that reads no state (decoherence, phase and entropy at
   orders 0.25, 1, 1.5, 4, inf), so its frame map never runs
 - a long-horizon (t_max = 100) decoherence-and-phase config
-- `compare` of the PT config and a copy at another theta, with --out
+- `compare` of the PT config and a copy at another theta, and of the
+  Anti-PT config against the PT config, with --out
 - failing cases: an exceptional point (exit 3), a preset at --tol 1e-30
-  (exit 4), an unknown config key (exit 2), and Anti-PT `outputs = qsl`
-  from a state without coherence (exit 2)
+  (exit 4), an Anti-PT decoherence-and-phase config at t_max = 300 whose
+  quadrature budget runs out (exit 4), an unknown config key (exit 2),
+  and Anti-PT `outputs = qsl` from a state without coherence (exit 2)
 
 Every checkout after the first is compared with the first: the exit code,
 the list of files written, each file's bytes, stdout and stderr, with the
@@ -82,6 +84,9 @@ CONFIG_CASES = {
     "compare": (
         {"a.cfg": _config(), "b.cfg": _config(theta=0.5)},
         ["compare", "a.cfg", "b.cfg", "--out", "out"]),
+    "apt-vs-pt-compare": (
+        {"a.cfg": _config(symmetry="AntiPT"), "b.cfg": _config()},
+        ["compare", "a.cfg", "b.cfg", "--out", "out"]),
     "exceptional-point": (
         {"a.cfg": _config(theta=0.5).replace("qubit.xi = 0.81",
                                              "qubit.xi = 0.5")
@@ -91,6 +96,10 @@ CONFIG_CASES = {
     "preset-tol-1e-30": (
         {}, ["run", "--preset", "fig_pt_decoherence", "--out", "out",
              "--tol", "1e-30"]),
+    "horizon-exit-4": (
+        {"a.cfg": _config(symmetry="AntiPT", t_max=300.0,
+                          outputs="decoherence, phase")},
+        ["run", "a.cfg", "--out", "out"]),
     "unknown-key": (
         {"a.cfg": _config(extra="qubit.gamma = 1.0\n")},
         ["run", "a.cfg", "--out", "out"]),

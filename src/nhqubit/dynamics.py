@@ -12,9 +12,12 @@ The frame of the states is the only difference, and a trajectory derives
 its states on their first read: PT states are mapped back to the
 physical frame through T^-1; Anti-PT states stay in the eigenframe of H,
 where they evolve under diag(exp(-i E t)).  A run that reads no state
-(D, the phase, the entropies) never pays the PT map.  A Trajectory holds
-the states as arrays over the time grid; DensityMatrix objects are built
-only on request (Trajectory.states).
+(D, the phase, the entropies) never pays the PT map.  A Trajectory keeps
+the qubit it was evolved from, which gives its class, omega0 and frame,
+and keeps what it derives (the states, and the speed-limit series of
+nhqubit.qsl) in its own private record.  It holds the states as arrays
+over the time grid; DensityMatrix objects are built only on request
+(Trajectory.states).
 
 evolve(p, table) evolves one qubit on one bath.Kernels table, as
 whole-array passes over the grid.  gamma(t), d gamma/dt and Omega,
@@ -102,13 +105,14 @@ class SpectralSplit:
 class Trajectory:
     """Time grid with damping, accumulated phase and the states they give.
 
-    phase[i] is the coherence phase accumulated since t = 0 (the initial
-    coherence's own argument is not included).  Both classes keep the
-    eigenframe state: rho0_diag at t = 0 and the coherence c_diag =
-    rho0_diag.c exp(i phase) decoherence.  For Anti-PT lnorm_analytic
-    holds |d rho/dt|_op from the closed form.  qubit is the qubit the
-    trajectory was evolved from, of its symmetry class (ValueError
-    otherwise); a PT trajectory needs it for its frame.
+    qubit is the qubit the trajectory was evolved from; its symmetry class
+    and its splitting omega0 (split(qubit).omega0, as evolve computes it)
+    are read from it, and the PT frame map is built from it.  phase[i] is
+    the coherence phase accumulated since t = 0 (the initial coherence's
+    own argument is not included).  Both classes keep the eigenframe
+    state: rho0_diag at t = 0 and the coherence c_diag = rho0_diag.c
+    exp(i phase) decoherence.  For Anti-PT lnorm_analytic holds
+    |d rho/dt|_op from the closed form.
 
     p1[i], p2[i] and c[i] are the populations and upper coherence of the
     state at times[i]: the physical-frame state T^-1 rho_d T^-dagger / tr
@@ -122,13 +126,13 @@ class Trajectory:
     is derived from them cannot go stale and a trajectory can be shared
     (the presets share theirs across builds): the states, and the Bures
     angles from state 0 and the Liouvillian norms that nhqubit.qsl
-    computes, are each derived once per trajectory, on first use, and
-    kept read-only in a private record that every later read uses.
-    dataclasses.replace starts a fresh record.
+    computes, are each derived once per trajectory, on first use, through
+    _derived, and kept read-only in the trajectory's private record, which
+    only this class reads or writes.  dataclasses.replace starts a fresh
+    record.
     """
 
-    symmetry: Symmetry
-    omega0: float
+    qubit: QubitParams
     times: np.ndarray
     decoherence: np.ndarray
     phase: np.ndarray
@@ -136,21 +140,12 @@ class Trajectory:
     rho0_diag: DensityMatrix
     c_diag: np.ndarray
     lnorm_analytic: np.ndarray | None = None
-    qubit: QubitParams | None = None
-    # Derived name -> read-only array(s): "states" here, the speed-limit
-    # series in nhqubit.qsl.
+    # Derived name -> read-only array(s): "states" here, "angles" and
+    # "norms" for nhqubit.qsl.
     _record: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
-        if self.qubit is None:
-            if self.symmetry is Symmetry.PT:
-                raise ValueError("a PT trajectory needs its qubit for the "
-                                 "frame map")
-        elif self.qubit.symmetry is not self.symmetry:
-            raise ValueError(f"trajectory symmetry {self.symmetry.value} "
-                             "differs from its qubit's, "
-                             f"{self.qubit.symmetry.value}")
         for name in _ARRAYS:
             value = getattr(self, name)
             if value is not None:
@@ -162,30 +157,36 @@ class Trajectory:
         return len(self.times)
 
     @property
+    def symmetry(self) -> Symmetry:
+        return self.qubit.symmetry
+
+    @property
+    def omega0(self) -> float:
+        return split(self.qubit).omega0
+
+    def _derived(self, name: str, compute):
+        """The record's value `name`: compute(self) on first use, its array
+        (or each array of a tuple) made read-only and kept.  Nothing is
+        kept when compute raises, so every read raises until one succeeds."""
+        value = self._record.get(name)
+        if value is None:
+            value = compute(self)
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
+            self._record[name] = value
+        return value
+
+    @property
     def p1(self) -> np.ndarray:
-        return self._frame()[0]
+        return self._derived("states", _frame_states)[0]
 
     @property
     def p2(self) -> np.ndarray:
-        return self._frame()[1]
+        return self._derived("states", _frame_states)[1]
 
     @property
     def c(self) -> np.ndarray:
-        return self._frame()[2]
-
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(p1, p2, c), derived from the dephasing frame on first read and
-        kept, read-only, in the record."""
-        states = self._record.get("states")
-        if states is None:
-            states = self.dephasing_frame()
-            if self.symmetry is Symmetry.PT:
-                states = _physical_frame(self.qubit, *states)
-            check_physical(*states)
-            for array in states:
-                array.flags.writeable = False
-            self._record["states"] = states
-        return states
+        return self._derived("states", _frame_states)[2]
 
     @property
     def states(self) -> list[DensityMatrix]:
@@ -294,6 +295,16 @@ def _physical_states(t_inv, p1, p2, coherences) -> np.ndarray:
     return phys
 
 
+def _frame_states(traj: Trajectory):
+    """(p1, p2, c) of the trajectory's states, from its dephasing frame
+    (through _physical_frame for PT), checked physical."""
+    states = traj.dephasing_frame()
+    if traj.symmetry is Symmetry.PT:
+        states = _physical_frame(traj.qubit, *states)
+    check_physical(*states)
+    return states
+
+
 def _physical_frame(p: QubitParams, p1, p2, coherences):
     """(p1, p2, c) of the PT qubit p's physical-frame states, mapped
     through T^-1 from the eigenframe states (p1, p2, coherences); raises
@@ -380,10 +391,9 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
             lnorm = np.abs(coherences) * np.hypot(dphi, omega0**2 * dg.value)
 
     return Trajectory(
-        symmetry=p.symmetry, omega0=omega0, times=ts, decoherence=damping,
-        phase=phases,
+        qubit=p, times=ts, decoherence=damping, phase=phases,
         max_quad_error=float(max(r.abs_error.max() for r in reads)),
-        rho0_diag=initial, c_diag=coherences, lnorm_analytic=lnorm, qubit=p)
+        rho0_diag=initial, c_diag=coherences, lnorm_analytic=lnorm)
 
 
 def evolve_pt(p: QubitParams, b: BathParams, times,

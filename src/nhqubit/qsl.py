@@ -5,13 +5,13 @@ rho(0) and rho(t); tau_QSL(tau) = sin^2 A(tau) / time-average of |L|_op.
 V_QSL is genuinely singular at A in {0, pi/2}; those points are reported
 as errors (or NaN in series form), never clamped.  Angles and norms are
 computed over the whole grid from the trajectory's (p1, p2, c) arrays,
-which the trajectory derives on their first read, once per trajectory:
-the Bures angles from state 0 and the Liouvillian norms (the stencil, or
-Anti-PT's lnorm_analytic) are each evaluated on first use and kept,
-read-only, in the trajectory's private record.  qsl_series, tau_qsl at
-every horizon, v_qsl and liouvillian_norm read them from there;
-liouvillian_norm(force_numeric=True) alone computes the stencil afresh,
-and never reads or writes these two series.
+which the trajectory derives on their first read.  The Bures angles from
+state 0 and the Liouvillian norms (the stencil, or Anti-PT's
+lnorm_analytic) are each evaluated once per trajectory, on first use, and
+kept read-only in the trajectory's private record (Trajectory._derived).
+qsl_series, tau_qsl at every horizon, v_qsl and liouvillian_norm read
+them from there; liouvillian_norm(force_numeric=True) alone computes the
+stencil afresh, and never reads or writes these two series.
 """
 
 from __future__ import annotations
@@ -89,23 +89,12 @@ def _norms(traj: Trajectory, force_numeric: bool = False) -> np.ndarray:
         0.5 * (dp1 - dp2), np.hypot(dc.real, dc.imag))
 
 
-def _recorded(traj: Trajectory, name: str, compute) -> np.ndarray:
-    """The series `name` of the trajectory's record, computed by
-    compute(traj) and made read-only on first use."""
-    series = traj._record.get(name)
-    if series is None:
-        series = compute(traj)
-        series.flags.writeable = False
-        traj._record[name] = series
-    return series
-
-
 def _start_angles(traj: Trajectory) -> np.ndarray:
-    return _recorded(traj, "angles", _angles_from_start)
+    return traj._derived("angles", _angles_from_start)
 
 
 def _grid_norms(traj: Trajectory) -> np.ndarray:
-    return _recorded(traj, "norms", _norms)
+    return traj._derived("norms", _norms)
 
 
 def _check_index(traj: Trajectory, index: int) -> None:

@@ -24,16 +24,6 @@ def caption_bath():
     return CAPTION_BATH
 
 
-@pytest.fixture(scope="session")
-def caption_pt():
-    return CAPTION_PT
-
-
-@pytest.fixture(scope="session")
-def caption_apt():
-    return CAPTION_APT
-
-
 def random_matrix(rng, scale=1.0):
     return scale * (rng.standard_normal((2, 2))
                     + 1j * rng.standard_normal((2, 2)))

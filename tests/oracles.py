@@ -4,7 +4,9 @@ Nothing here shares code with the package internals: the quadrature oracle
 is a fixed-panel composite Gauss-Legendre rule with Richardson-style panel
 doubling, the eigensolver goes through the characteristic polynomial via
 numpy.roots, fidelity takes the eigendecomposition square-root route, and
-the operator norm comes from repeated squaring of m^dagger m.  Every frozen
+the operator norm comes from repeated squaring of m^dagger m, and the
+states of a qubit come from its Hamiltonian, written out here, through
+scipy's matrix exponential or its numpy eigenvalues.  Every frozen
 reference value in the tests was produced by these functions.
 """
 
@@ -204,6 +206,39 @@ def brute_opnorm(m, iters=500):
     norm = np.ldexp(np.linalg.norm(m @ v, axis=(-2, -1))
                     / np.where(longest == 0.0, 1.0, longest), e)
     return float(norm) if norm.ndim == 0 else norm
+
+
+# ---------------------------------------------------------------------------
+# direct-evolution oracles
+
+def hamiltonian(alpha, theta, xi, delta, pt):
+    """The paper's PT Hamiltonian (pt true) or Anti-PT Hamiltonian."""
+    if pt:
+        return np.array([[alpha + 1j * theta, xi + 1j * delta],
+                         [xi - 1j * delta, alpha - 1j * theta]])
+    return np.array([[alpha + 1j * theta, xi + 1j * delta],
+                     [-xi + 1j * delta, -alpha + 1j * theta]])
+
+
+def _normalized(states):
+    trace = (states[:, 0, 0] + states[:, 1, 1]).real
+    return states / trace[:, None, None]
+
+
+def direct_states(h, rho0, ts):
+    """exp(-i H t) rho0 exp(i H^dagger t) / tr at each t, as an (n, 2, 2)
+    array."""
+    from scipy.linalg import expm
+    u = np.array([expm(-1j * h * t) for t in ts])
+    return _normalized(u @ rho0 @ u.conj().swapaxes(-1, -2))
+
+
+def eigenframe_states(h, rho0, ts):
+    """diag(exp(-i E t)) rho0 diag(exp(-i E t))^dagger / tr at each t, with
+    E the eigenvalues of h sorted by real part, as an (n, 2, 2) array."""
+    energies = sorted(np.linalg.eigvals(h), key=lambda e: e.real)
+    u = np.exp(-1j * np.outer(ts, energies))
+    return _normalized(u[:, :, None] * rho0 * u[:, None, :].conj())
 
 
 # ---------------------------------------------------------------------------

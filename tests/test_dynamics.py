@@ -389,17 +389,6 @@ class TestStatesOnFirstRead:
         maps = 2 if p.symmetry is Symmetry.PT else 0
         assert frame_maps() == {"inv": maps, "_physical_states": maps}
 
-    def test_frame_needs_a_qubit_of_the_class(self, caption_bath):
-        traj = evolve(CAPTION_APT, bath.Kernels(self.GRID, caption_bath))
-        # Anti-PT states are eigenframe states, which need no qubit.
-        copy = dataclasses.replace(traj, qubit=None)
-        assert copy.c is copy.c_diag
-        with pytest.raises(ValueError, match="PT trajectory needs its qubit"):
-            dataclasses.replace(traj, symmetry=Symmetry.PT, qubit=None)
-        with pytest.raises(ValueError, match="symmetry PT differs from its "
-                           "qubit's, AntiPT"):
-            dataclasses.replace(traj, symmetry=Symmetry.PT)
-
     def test_frame_errors_are_raised_by_every_read(self, caption_bath,
                                                    monkeypatch):
         """The frame's DomainError and NonPhysicalState keep their types
@@ -425,6 +414,73 @@ class TestStatesOnFirstRead:
         for _ in range(2):
             with pytest.raises(NonPhysicalState, match=r"^trace 2\.0 != 1"):
                 traj.c
+
+
+class TestTrajectoryQubit:
+    """A trajectory keeps its qubit and reads its class and omega0 from
+    it, so neither can disagree with the qubit."""
+
+    @pytest.mark.parametrize("p", [CAPTION_PT, CAPTION_APT],
+                             ids=["pt", "apt"])
+    def test_symmetry_and_omega0_are_read_from_the_qubit(self, caption_bath,
+                                                          p):
+        init = {f.name for f in dataclasses.fields(dynamics.Trajectory)
+                if f.init}
+        assert not {"symmetry", "omega0"} & init
+        traj = evolve(p, bath.Kernels(np.linspace(0.0, 5.0, 11),
+                                      caption_bath))
+        assert traj.qubit is p
+        assert traj.symmetry is traj.qubit.symmetry
+        omega0 = split(traj.qubit).omega0
+        assert np.float64(traj.omega0).tobytes() == np.float64(
+            omega0).tobytes()
+        for name in ("symmetry", "omega0"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(traj, name, getattr(traj, name))
+
+
+class TestDirectEvolution:
+    """In a bath of J0 = 1e-14 the states follow from the Hamiltonian: PT
+    states are exp(-i H t) rho0 exp(i H^dagger t) / tr, and Anti-PT states
+    are eigenframe states, under diag(exp(-i E t)), not the direct ones.
+    Both references start from the trajectory's own state at t = 0."""
+
+    BARE_BATH = BathParams(j0=1e-14, omega_c=1.0, mu=-0.5, beta=0.5)
+    GRID = np.linspace(0.0, 5.0, 51)
+    INITIAL = [DensityMatrix.plus(),
+               DensityMatrix.from_expectations(0.3, 0.2 - 0.1j)]
+
+    @staticmethod
+    def _hamiltonian(p):
+        return oracles.hamiltonian(p.alpha, p.theta, p.xi, p.delta,
+                                   p.symmetry is Symmetry.PT)
+
+    def _states(self, p, initial):
+        traj = evolve(p, bath.Kernels(self.GRID, self.BARE_BATH), initial)
+        return np.array([state.matrix for state in traj.states])
+
+    @pytest.mark.parametrize("p", [CAPTION_PT, CAPTION_APT],
+                             ids=["pt", "apt"])
+    def test_hamiltonian_matches_the_oracle(self, p):
+        assert np.array_equal(build_hamiltonian(p), self._hamiltonian(p))
+
+    @pytest.mark.parametrize("initial", INITIAL, ids=["plus", "tilted"])
+    @pytest.mark.parametrize("theta", [0.0, 0.86, 0.98473346647])
+    def test_pt_states_are_the_direct_evolution(self, theta, initial):
+        p = dataclasses.replace(CAPTION_PT, theta=theta)
+        states = self._states(p, initial)
+        want = oracles.direct_states(self._hamiltonian(p), states[0],
+                                     self.GRID)
+        assert np.abs(states - want).max() <= 1e-11
+
+    @pytest.mark.parametrize("initial", INITIAL, ids=["plus", "tilted"])
+    def test_apt_states_are_the_eigenframe_evolution(self, initial):
+        states = self._states(CAPTION_APT, initial)
+        h = self._hamiltonian(CAPTION_APT)
+        eigen = oracles.eigenframe_states(h, states[0], self.GRID)
+        assert np.abs(states - eigen).max() <= 1e-12
+        direct = oracles.direct_states(h, states[0], self.GRID)
+        assert np.abs(states - direct).max() > 0.5
 
 
 class TestFloatRange:

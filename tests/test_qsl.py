@@ -7,8 +7,8 @@ import pytest
 import oracles
 from conftest import CAPTION_APT, CAPTION_PT, count_calls
 from nhqubit import bath, qsl
-from nhqubit.dynamics import (Symmetry, Trajectory, evolve, evolve_apt,
-                              evolve_pt)
+from nhqubit.dynamics import (QubitParams, Symmetry, Trajectory, evolve,
+                              evolve_apt, evolve_pt)
 from nhqubit.errors import (AngleSingularity, DegenerateTrajectory,
                              GridTooCoarse)
 from nhqubit.linalg2 import DensityMatrix
@@ -25,12 +25,13 @@ def apt_traj(caption_bath):
 
 
 def _synthetic_rotation(n=401, t_max=2.0, rate=1.3, amplitude=0.4):
-    """Pure phase wobble: |c| constant, gamma identically zero.  The states
-    are the eigenframe ones, populations 0.5 and coherence c_diag."""
+    """Pure phase wobble: |c| constant, gamma identically zero, on an
+    Anti-PT qubit with omega0 = 1.  The states are the eigenframe ones,
+    populations 0.5 and coherence c_diag."""
     ts = np.linspace(0.0, t_max, n)
     return Trajectory(
-        symmetry=Symmetry.ANTI_PT,
-        omega0=1.0,
+        qubit=QubitParams(alpha=1.0, theta=0.0, xi=0.0, delta=0.0,
+                          symmetry=Symmetry.ANTI_PT),
         times=ts,
         decoherence=np.ones(n),
         phase=rate * ts,
