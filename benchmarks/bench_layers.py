@@ -13,8 +13,13 @@ omega_c = 1, mu = -0.5) and linspace(0, 20, n):
 - dynamics.evolve(p, table) calls of the caption PT and Anti-PT qubits
   at n = 201 on a filled table, so each row times the trajectory
   assembly alone: D, the phase and the eigenframe coherence (and
-  Anti-PT's analytic norm), not the PT frame map, which a trajectory
-  runs on the first read of its states
+  Anti-PT's analytic norm, on a checkout whose evolve computes it), not
+  the PT frame map, which a trajectory runs on the first read of its
+  states
+- evolve_pt_cold and evolve_apt_cold: the same calls at n = 201 and
+  2001, each on a new table, so each row also times the kernels that
+  evolve reads (on a checkout whose evolve reads the rates for Anti-PT,
+  those too)
 - pt_frame_201: that first read, traj.p1 on a fresh dataclasses.replace
   copy of the caption PT trajectory at n = 201 (T, np.linalg.inv, the
   state assembly and the physicality check); on a checkout whose
@@ -190,6 +195,12 @@ def calls_for(src: Path, csv_path: Path) -> dict:
     for label, p in (("pt", qubit), ("apt", presets.caption_apt())):
         dynamics.evolve(p, table)  # fills the table
         calls[f"evolve_{label}_201"] = lambda p=p: dynamics.evolve(p, table)
+    for n in (201, 2001):
+        grid = np.linspace(0.0, 20.0, n)
+        for label, p in (("pt", qubit), ("apt", presets.caption_apt())):
+            calls[f"evolve_{label}_cold_{n}"] = (
+                lambda p=p, grid=grid: dynamics.evolve(
+                    p, bath.Kernels(grid, b)))
     calls["pt_frame_201"] = lambda traj=traj: dataclasses.replace(traj).p1
 
     for name in ("fig_pt_decoherence", "fig_apt_qsl"):

@@ -15,6 +15,11 @@ its own working directory under one temporary directory:
 - a long-horizon (t_max = 100) decoherence-and-phase config
 - `compare` of the PT config and a copy at another theta, and of the
   Anti-PT config against the PT config, with --out
+- an Anti-PT decoherence, phase and entropy config at tol = 1e-14 in the
+  bath j0 = 1, omega_c = 5, mu = 0, beta = 4 on linspace(0, 0.1, 41),
+  where d gamma/dt alone fails its tol: a checkout that reads the rates
+  only for the speed limit writes the files, one that reads them in
+  every Anti-PT evolve exits 4
 - failing cases: an exceptional point (exit 3), a preset at --tol 1e-30
   (exit 4), an Anti-PT decoherence-and-phase config at t_max = 300 whose
   quadrature budget runs out (exit 4), an unknown config key (exit 2),
@@ -102,6 +107,14 @@ CONFIG_CASES = {
         ["run", "a.cfg", "--out", "out"]),
     "unknown-key": (
         {"a.cfg": _config(extra="qubit.gamma = 1.0\n")},
+        ["run", "a.cfg", "--out", "out"]),
+    "apt-rate-only-tol": (
+        {"a.cfg": _config(symmetry="AntiPT", t_max=0.1, n_points=41,
+                          outputs="decoherence, phase, entropy",
+                          extra="tol = 1e-14\n")
+         .replace("bath.omega_c = 1.0", "bath.omega_c = 5.0")
+         .replace("bath.mu = -0.5", "bath.mu = 0.0")
+         .replace("bath.beta = 0.5", "bath.beta = 4.0")},
         ["run", "a.cfg", "--out", "out"]),
     "apt-qsl-no-coherence": (
         {"a.cfg": _config(symmetry="AntiPT", outputs="qsl",

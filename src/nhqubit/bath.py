@@ -11,8 +11,8 @@ so mu = 0 is Ohmic and mu = -0.5 sub-Ohmic.  The kernels are
     omega1(t)      = 4 theta int_0^inf dw J(w) (1 - cos wt)/w^2
     omega2(t)      = 2 theta t^2 int_0^inf dw J(w)
 
-plus the time derivatives of gamma and omega1 needed for analytic
-Liouvillian norms.  With c = 4 J0 omega_c^-mu, a = 1/omega_c and
+plus the time derivatives of gamma and omega1, which only the Anti-PT
+speed limit reads.  With c = 4 J0 omega_c^-mu, a = 1/omega_c and
 z = a - i t they are Gamma-function integrals (Haikka, Johnson and
 Maniscalco, PRA 87, 010103(R) (2013)):
 
@@ -41,8 +41,9 @@ A kernel whose bound exceeds tol, a grid over TERM_BUDGET series terms, or
 out-of-range arithmetic (errors.float_range) raises QuadratureDivergence.
 
 A Kernels table holds gamma, d gamma/dt and the three theta-linear kernels
-of one bath on one grid at one tol, each evaluated at most once per table,
-and checks that tol on every read.  Each public kernel is a one-shot table,
+of one bath on one grid at one tol, each evaluated once, on first read
+(evolve reads gamma and a phase kernel, the speed limit the rates), and
+checks that tol on every read.  Each public kernel is a one-shot table,
 so a shared table and a public call give the same result bit for bit.
 
 The k-sums run in np.longdouble, so values and bounds depend on the

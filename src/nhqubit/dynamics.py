@@ -13,19 +13,20 @@ its states on their first read: PT states are mapped back to the
 physical frame through T^-1; Anti-PT states stay in the eigenframe of H,
 where they evolve under diag(exp(-i E t)).  A run that reads no state
 (D, the phase, the entropies) never pays the PT map.  A Trajectory keeps
-the qubit it was evolved from, which gives its class, omega0 and frame,
-and keeps what it derives (the states, and the speed-limit series of
-nhqubit.qsl) in its own private record.  It holds the states as arrays
-over the time grid; DensityMatrix objects are built only on request
-(Trajectory.states).
+the qubit it was evolved from (its class, omega0 and frame), the table
+it was evolved on (its grid, and the rates of its speed limit), and what
+it derives (the states, and the speed-limit series of nhqubit.qsl) in
+its own private record.  It holds the states as arrays over the time
+grid; DensityMatrix objects are built only on request (Trajectory.states).
 
 evolve(p, table) evolves one qubit on one bath.Kernels table, as
 whole-array passes over the grid.  gamma(t), d gamma/dt and Omega,
 Omega_1 and d Omega_1/dt per unit theta depend only on the bath and the
 grid, so the table evaluates each at most once and alone supplies the
-bath, the grid and the tol every read is checked against.  The qubit
-reads the kernels its class needs, scaling the theta-linear ones by its
-theta.  Calls share kernels by sharing a table, as the presets do.
+bath, the grid and the tol every read is checked against.  evolve reads
+gamma and its class's phase kernel, scaled by the qubit's theta; only
+the speed limit reads the rates.  Calls share kernels by sharing a
+table, as the presets do.
 evolve_pt and evolve_apt, the only entry points here that take a bath
 and a grid, are evolve on a new table of them, after a class check.
 All three take the eigenframe state at t = 0 as initial (rho0_diag).
@@ -87,6 +88,11 @@ class QubitParams:
         return (f"alpha={self.alpha}, theta={self.theta}, xi={self.xi}, "
                 f"delta={self.delta}")
 
+    def float_range(self):
+        """errors.float_range, raising DomainError naming this qubit."""
+        return float_range(DomainError, f"{self.symmetry.value} trajectory",
+                           f" ({self._values()})")
+
     def splitting_squared(self) -> float:
         if self.symmetry is Symmetry.PT:
             return self.delta**2 + self.xi**2 - self.theta**2
@@ -107,12 +113,13 @@ class Trajectory:
 
     qubit is the qubit the trajectory was evolved from; its symmetry class
     and its splitting omega0 (split(qubit).omega0, as evolve computes it)
-    are read from it, and the PT frame map is built from it.  phase[i] is
-    the coherence phase accumulated since t = 0 (the initial coherence's
-    own argument is not included).  Both classes keep the eigenframe
-    state: rho0_diag at t = 0 and the coherence c_diag = rho0_diag.c
-    exp(i phase) decoherence.  For Anti-PT lnorm_analytic holds
-    |d rho/dt|_op from the closed form.
+    are read from it, and the PT frame map is built from it.  kernels is
+    the table it was evolved on: times is its grid, and the Anti-PT speed
+    limit reads its rates from it.  max_quad_error bounds the two kernels
+    evolve read.  phase[i] is the coherence phase accumulated since t = 0
+    (the initial coherence's own argument is not included).  Both classes
+    keep the eigenframe state: rho0_diag at t = 0 and the coherence
+    c_diag = rho0_diag.c exp(i phase) decoherence.
 
     p1[i], p2[i] and c[i] are the populations and upper coherence of the
     state at times[i]: the physical-frame state T^-1 rho_d T^-dagger / tr
@@ -133,25 +140,26 @@ class Trajectory:
     """
 
     qubit: QubitParams
-    times: np.ndarray
+    kernels: bath.Kernels
     decoherence: np.ndarray
     phase: np.ndarray
     max_quad_error: float
     rho0_diag: DensityMatrix
     c_diag: np.ndarray
-    lnorm_analytic: np.ndarray | None = None
     # Derived name -> read-only array(s): "states" here, "angles" and
     # "norms" for nhqubit.qsl.
     _record: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
     def __post_init__(self):
-        for name in _ARRAYS:
-            value = getattr(self, name)
-            if value is not None:
-                view = np.asarray(value).view()
-                view.flags.writeable = False
-                object.__setattr__(self, name, view)
+        for name in ("decoherence", "phase", "c_diag"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.kernels.ts
 
     def __len__(self) -> int:
         return len(self.times)
@@ -206,9 +214,6 @@ class Trajectory:
     def dephasing_states(self) -> list[DensityMatrix]:
         """The dephasing-frame states as DensityMatrix objects."""
         return _states(*self.dephasing_frame())
-
-
-_ARRAYS = ("times", "decoherence", "phase", "c_diag", "lnorm_analytic")
 
 
 def _states(p1, p2, c) -> list[DensityMatrix]:
@@ -310,8 +315,7 @@ def _physical_frame(p: QubitParams, p1, p2, coherences):
     through T^-1 from the eigenframe states (p1, p2, coherences); raises
     DomainError naming the qubit where the map leaves the floating-point
     range (errors.float_range)."""
-    with float_range(DomainError, f"{p.symmetry.value} trajectory",
-                     f" ({p._values()})"):
+    with p.float_range():
         # T's entries scale as omega0: T / 2^e, with e the exponent of its
         # largest entry, keeps T^-1 rho_d T^-dagger in range, and the scale
         # is exact and cancels in the trace division.
@@ -336,14 +340,12 @@ def phase_function(p: QubitParams, kernels: bath.Kernels):
 def evolve(p: QubitParams, kernels: bath.Kernels,
            initial: DensityMatrix | None = None) -> Trajectory:
     """The trajectory of qubit p in the bath, on the grid and at the tol of
-    the bath.Kernels table kernels.
+    the bath.Kernels table kernels, which the trajectory keeps.
 
     initial is the eigenframe state at t = 0 (|+> by default).  It dephases
-    in closed form, and the trajectory keeps it as rho0_diag and c_diag;
-    Anti-PT trajectories also carry their analytic Liouvillian norm.  The
-    states (p1, p2, c: the physical frame through T^-1 for PT, the
+    in closed form, and the trajectory keeps it as rho0_diag and c_diag.
+    The states (p1, p2, c: the physical frame through T^-1 for PT, the
     eigenframe for Anti-PT) are derived on their first read, not here.
-    The trajectory's times are the table's grid.
 
     The qubit scales the theta-linear kernels by its theta before the tol
     check, so its trajectory is the same bit for bit on every table of its
@@ -351,12 +353,12 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
     sharing one table: [evolve(p, table) for p in sweep].  BrokenPhase at
     the exceptional point comes first, then ValueError unless the table's
     grid is a non-empty 1-D grid starting at 0 and strictly increasing,
-    then the kernel reads (gamma, d gamma/dt for Anti-PT, the phase
-    kernels), all before the arithmetic, which raises DomainError naming
-    the qubit where it leaves the floating-point range
-    (errors.float_range).  The PT frame's DomainError and either class's
-    NonPhysicalState keep their types and messages but are raised by the
-    first read of the states.
+    then the reads of gamma and the phase kernel, before the arithmetic,
+    which raises DomainError naming the qubit where it leaves the
+    floating-point range (errors.float_range).  The PT frame's DomainError
+    and either class's NonPhysicalState keep their types and messages but
+    are raised by the first read of the states, and the Anti-PT rates and
+    norm are checked by the first read of the norms (nhqubit.qsl).
     """
     omega0 = split(p).omega0
     if omega0 <= 0.0:
@@ -367,33 +369,19 @@ def evolve(p: QubitParams, kernels: bath.Kernels,
     _validate_times(kernels.t)
     if initial is None:
         initial = DensityMatrix.plus()
-    anti = p.symmetry is Symmetry.ANTI_PT
-    ts = kernels.ts
     g = kernels.gamma()
-    dg = kernels.gamma_rate() if anti else None
     f, phase_kernel = phase_function(p, kernels)
-    reads = [g, phase_kernel]
-    if anti:
-        do1 = kernels("omega1_rate", p.theta)
-        do2 = bath.omega2_rate(ts, p.theta, kernels.p)
-        reads += [dg, do1]
 
-    # Every kernel is read, so a kernel error keeps precedence.
-    with float_range(DomainError, f"{p.symmetry.value} trajectory",
-                     f" ({p._values()})"):
+    # Both kernels are read, so a kernel error keeps precedence.
+    with p.float_range():
         damping = np.exp(-(omega0**2) * g.value)
-        phases = 2.0 * omega0 * ts - omega0 * f
+        phases = 2.0 * omega0 * kernels.ts - omega0 * f
         coherences = initial.c * np.exp(1j * phases) * damping
-        lnorm = None
-        if anti:
-            # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
-            dphi = 2.0 * omega0 - omega0 * (do2 - do1.value)
-            lnorm = np.abs(coherences) * np.hypot(dphi, omega0**2 * dg.value)
 
+    bound = max(r.abs_error.max() for r in (g, phase_kernel))
     return Trajectory(
-        qubit=p, times=ts, decoherence=damping, phase=phases,
-        max_quad_error=float(max(r.abs_error.max() for r in reads)),
-        rho0_diag=initial, c_diag=coherences, lnorm_analytic=lnorm)
+        qubit=p, kernels=kernels, decoherence=damping, phase=phases,
+        max_quad_error=float(bound), rho0_diag=initial, c_diag=coherences)
 
 
 def evolve_pt(p: QubitParams, b: BathParams, times,

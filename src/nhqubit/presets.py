@@ -120,9 +120,8 @@ class Preset:
             if quantity == "phase_function":
                 results = [_phase_function(p, kernels) for p in qubits]
             else:
-                trajs = [caption_trajectory(p, tol) for p in qubits]
-                results = [(_trajectory_column(traj, quantity),
-                            traj.max_quad_error) for traj in trajs]
+                results = [_trajectory_column(caption_trajectory(p, tol),
+                                              quantity) for p in qubits]
             for (col, err), (label, _) in zip(results, self.cases):
                 max_err = max(max_err, err)
                 header.append(f"{quantity}_{label}")
@@ -141,16 +140,19 @@ def _phase_function(p: QubitParams, kernels: bath.Kernels):
 _ORDERS = {"S0": 0.0, "S1": 1.0, "S2": 2.0, "Sinf": math.inf}
 
 
-def _trajectory_column(traj, quantity: str) -> np.ndarray:
-    if quantity == "D":
-        return traj.decoherence
+def _trajectory_column(traj, quantity: str) -> tuple[np.ndarray, float]:
+    """The quantity on traj and the worst bound of the kernels it read."""
     if quantity == "v_qsl":
-        return qsl.qsl_series(traj).v_qsl
+        series = qsl.qsl_series(traj)
+        return series.v_qsl, series.max_quad_error
+    if quantity == "D":
+        return traj.decoherence, traj.max_quad_error
     if quantity == "S1_closed":
-        return entropy.von_neumann_closed_form(traj.decoherence)
+        return (entropy.von_neumann_closed_form(traj.decoherence),
+                traj.max_quad_error)
     if quantity in _ORDERS:
         q = _ORDERS[quantity]
-        return entropy.entropy_series(traj, [q])[q]
+        return entropy.entropy_series(traj, [q])[q], traj.max_quad_error
     raise ValueError(f"unknown preset quantity {quantity!r}")
 
 

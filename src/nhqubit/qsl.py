@@ -6,9 +6,9 @@ V_QSL is genuinely singular at A in {0, pi/2}; those points are reported
 as errors (or NaN in series form), never clamped.  Angles and norms are
 computed over the whole grid from the trajectory's (p1, p2, c) arrays,
 which the trajectory derives on their first read.  The Bures angles from
-state 0 and the Liouvillian norms (the stencil, or Anti-PT's
-lnorm_analytic) are each evaluated once per trajectory, on first use, and
-kept read-only in the trajectory's private record (Trajectory._derived).
+state 0 and the Liouvillian norms (the stencil, or Anti-PT's closed form,
+the one reader of the rates) are each evaluated once per trajectory, on
+first use, and kept read-only in its record (Trajectory._derived).
 qsl_series, tau_qsl at every horizon, v_qsl and liouvillian_norm read
 them from there; liouvillian_norm(force_numeric=True) alone computes the
 stencil afresh, and never reads or writes these two series.
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from . import bath
+from .dynamics import Symmetry, Trajectory
 from .errors import AngleSingularity, DegenerateTrajectory, GridTooCoarse
 from .linalg2 import DensityMatrix, state_fidelity
 
@@ -35,6 +36,7 @@ class QslSeries:
     liouvillian_norm: np.ndarray
     v_qsl: np.ndarray  # NaN where the angle is singular
     tau_qsl: float
+    max_quad_error: float  # worst bound of the kernels the series read
 
 
 def _angles(p1, p2, c, q1, q2, d):
@@ -55,14 +57,26 @@ def _angles_from_start(traj: Trajectory) -> np.ndarray:
     return _angles(traj.p1[0], traj.p2[0], traj.c[0], traj.p1, traj.p2, traj.c)
 
 
+def _rates(traj: Trajectory):
+    """The Anti-PT norm's kernels d gamma/dt and d Omega_1/dt, read."""
+    kernels = traj.kernels
+    return kernels.gamma_rate(), kernels("omega1_rate", traj.qubit.theta)
+
+
 def _norms(traj: Trajectory, force_numeric: bool = False) -> np.ndarray:
     """|d rho/dt|_op at every grid point: the differentiated closed form
-    when the trajectory carries it (Anti-PT), else a second-order finite-
+    for Anti-PT unless force_numeric, else a second-order finite-
     difference stencil (central inside, one-sided at the ends).  d rho/dt
     is Hermitian, so its operator norm is |mean of the diagonal| +
     hypot(half the diagonal difference, |off-diagonal|)."""
-    if traj.lnorm_analytic is not None and not force_numeric:
-        return traj.lnorm_analytic
+    if traj.symmetry is Symmetry.ANTI_PT and not force_numeric:
+        p, omega0 = traj.qubit, traj.omega0
+        dg, do1 = _rates(traj)
+        do2 = bath.omega2_rate(traj.times, p.theta, traj.kernels.p)
+        with p.float_range():  # after every kernel read
+            # Only the coherence moves, so |d rho/dt|_op = |dc/dt|.
+            dphi = 2.0 * omega0 - omega0 * (do2 - do1.value)
+            return np.abs(traj.c_diag) * np.hypot(dphi, omega0**2 * dg.value)
     n = len(traj)
     if n < 3:
         raise GridTooCoarse("second-order stencil needs at least 3 grid points")
@@ -107,9 +121,8 @@ def liouvillian_norm(traj: Trajectory, index: int,
                      force_numeric: bool = False) -> float:
     """|d rho/dt|_op at grid point `index` (see _norms)."""
     _check_index(traj, index)
-    if force_numeric:
-        return float(_norms(traj, force_numeric=True)[index])
-    return float(_grid_norms(traj)[index])
+    norms = _norms(traj, True) if force_numeric else _grid_norms(traj)
+    return float(norms[index])
 
 
 def _singular(angle):
@@ -138,7 +151,7 @@ def v_qsl(traj: Trajectory, index: int) -> float:
 def _tau(traj: Trajectory, angles, norms, horizon: float) -> float:
     """tau_QSL over [0, horizon]; horizon must be a positive grid point."""
     idx = int(np.argmin(np.abs(traj.times - horizon)))
-    if not math.isclose(traj.times[idx], horizon, rel_tol=1e-12, abs_tol=1e-12):
+    if not math.isclose(traj.times[idx], horizon, rel_tol=1e-12):
         raise ValueError(f"horizon {horizon} is not a grid point")
     if idx == 0:
         raise ValueError("horizon must be positive")
@@ -160,10 +173,13 @@ def qsl_series(traj: Trajectory) -> QslSeries:
     arrays are the trajectory's read-only record."""
     angles = _start_angles(traj)
     norms = _grid_norms(traj)
+    rates = _rates(traj) if traj.symmetry is Symmetry.ANTI_PT else ()
+    bound = max([traj.max_quad_error, *(r.abs_error.max() for r in rates)])
     return QslSeries(
         times=traj.times,
         bures_angle=angles,
         liouvillian_norm=norms,
         v_qsl=_velocity(norms, angles),
         tau_qsl=_tau(traj, angles, norms, traj.times[-1]),
+        max_quad_error=float(bound),
     )

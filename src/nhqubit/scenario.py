@@ -334,7 +334,7 @@ def run(scenario: Scenario, outdir) -> dict:
             tables["qsl"] = (
                 ["t", "bures_angle", "liouvillian_norm", "v_qsl"],
                 [ts, series.bures_angle, series.liouvillian_norm,
-                 series.v_qsl], err)
+                 series.v_qsl], series.max_quad_error)
             fields["tau_qsl"] = series.tau_qsl
         if "entropy" in scenario.outputs:
             table = entropy.entropy_series(traj, scenario.entropy_orders)
@@ -351,24 +351,17 @@ def _order_name(q: float) -> str:
     return short if float(short) == q else repr(float(q))
 
 
-def _damping_exponent(s: Scenario) -> tuple[Trajectory, np.ndarray]:
-    """The trajectory of s and its damping exponent omega0^2 gamma, so
-    that D = exp(-exponent), with gamma read from the table it evolved on."""
-    kernels = s.kernels()
-    traj = evolve(s.qubit, kernels, s.initial)
-    return traj, traj.omega0**2 * kernels.gamma().value
-
-
 def compare(a: Scenario, b: Scenario, outdir=None) -> dict:
     """Per-time decoherence comparison of two scenarios on a shared grid."""
     if a.n_points != b.n_points or a.t_max != b.t_max:
         raise GridMismatch(
             f"grids differ: ({a.t_max}, {a.n_points}) vs ({b.t_max}, {b.n_points})"
         )
-    traj_a, e_a = _damping_exponent(a)
-    traj_b, e_b = _damping_exponent(b)
+    traj_a, traj_b = a.evolve(), b.evolve()
+    e_a, e_b = (traj.omega0**2 * traj.kernels.gamma().value
+                for traj in (traj_a, traj_b))
     d_a, d_b = traj_a.decoherence, traj_b.decoherence
-    # Ordered and divided by the exponents, which stay exact where D
+    # Ordered and divided by the exponents e (D = exp(-e)), exact where D
     # underflows to 0; a ratio beyond the float range is written as inf.
     ordered = e_b <= e_a
     with np.errstate(over="ignore"):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import count_evaluations
 from nhqubit import bath, cli, dynamics, scenario
 from nhqubit.errors import ConfigError, GridMismatch
 from nhqubit.presets import PRESETS
@@ -380,6 +381,86 @@ class TestFrameOnFirstRead:
                 assert list(out.iterdir()) == []
             else:
                 assert err == []
+
+
+# The caption Anti-PT qubit in a bath where, at tol = 1e-14 on this grid,
+# d gamma/dt alone fails its tol: gamma's bound is 1.65e-15, Omega_1's
+# 1.41e-15 and d gamma/dt's 1.24e-13.
+RATE_ONLY_CONFIG = """\
+qubit.symmetry = AntiPT
+qubit.alpha = 1.0
+qubit.theta = 0.86
+qubit.xi = 0.81
+qubit.delta = 0.56
+bath.j0 = 1.0
+bath.omega_c = 5.0
+bath.mu = 0.0
+bath.beta = 4.0
+initial.state = plus
+grid.t_max = 0.1
+grid.n_points = 41
+outputs = {outputs}
+tol = {tol}
+"""
+
+
+class TestRatesOnFirstNormRead:
+    """Only the Anti-PT speed limit reads d gamma/dt and d Omega_1/dt, so
+    only a run or preset that writes it evaluates them, fails on them or
+    reports their bounds."""
+
+    @pytest.mark.parametrize("argv, rates", [
+        pytest.param(["run", "a.cfg", "--out", "o"], 0, id="no-qsl"),
+        pytest.param(["run", "q.cfg", "--out", "o"], 1, id="qsl"),
+        pytest.param(["run", "--preset", "fig_apt_decoherence", "--out", "o"],
+                     0, id="fig_apt_decoherence"),
+        pytest.param(["run", "--preset", "fig_apt_qsl", "--out", "o"], 1,
+                     id="fig_apt_qsl"),
+    ])
+    def test_rates_evaluated_once_by_the_speed_limit_alone(
+            self, tmp_path, monkeypatch, fresh_caption_kernels, argv, rates):
+        text = PT_CONFIG.replace("= PT", "= AntiPT")
+        (tmp_path / "a.cfg").write_text(text.replace(
+            "decoherence, entropy, qsl", "decoherence, phase, entropy"))
+        (tmp_path / "q.cfg").write_text(text.replace(
+            "decoherence, entropy, qsl", "qsl"))
+        monkeypatch.chdir(tmp_path)
+        calls = count_evaluations(monkeypatch)
+        assert cli.main(argv) == 0
+        assert calls.get("gamma_rate", 0) == rates
+        assert calls.get("omega1_rate", 0) == rates
+
+    def test_rate_only_failure_exits_4_for_qsl_alone(self, tmp_path, capsys):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(RATE_ONLY_CONFIG.format(
+            outputs="decoherence, phase, entropy", tol="1e-14"))
+        out = tmp_path / "dpe"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "decoherence.csv", "entropy.csv", "manifest.json", "phase.csv"]
+        cfg.write_text(RATE_ONLY_CONFIG.format(outputs="qsl", tol="1e-14"))
+        out = tmp_path / "qsl"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: gamma_rate at t=0.0075: error bound 1.082e-14 > tol "
+            "1.000e-14 after 1558 series terms\n")
+        assert list(out.iterdir()) == []
+
+    def test_each_output_reports_the_kernels_it_read(self, tmp_path):
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(RATE_ONLY_CONFIG.format(outputs="decoherence, qsl",
+                                               tol="1e-12"))
+        out = tmp_path / "o"
+        assert cli.main(["run", str(cfg), "--out", str(out)]) == 0
+        errors = json.loads((out / "manifest.json").read_text())[
+            "max_quad_error"]
+        assert errors == {"decoherence": 1.6528141690738175e-15,
+                          "qsl": 1.2422373643804945e-13}
+        b = bath.BathParams(j0=1.0, omega_c=5.0, mu=0.0, beta=4.0)
+        ts = np.linspace(0.0, 0.1, 41)
+        assert errors["decoherence"] == bath.gamma(ts, b).abs_error.max()
+        assert errors["qsl"] == bath.gamma_rate(ts, b).abs_error.max()
 
 
 class TestCliVerbs:

@@ -174,8 +174,9 @@ class TestEvolveAPT:
         assert traj.states[i].c == pytest.approx(expect, abs=1e-12)
 
     def test_analytic_lnorm_present(self, traj):
-        assert traj.lnorm_analytic is not None
-        assert np.all(traj.lnorm_analytic >= 0.0)
+        norms = qsl.qsl_series(traj).liouvillian_norm
+        assert np.all(norms >= 0.0)
+        assert norms is traj._record["norms"]
 
     def test_slower_than_pt(self, traj, caption_bath):
         pt = evolve_pt(CAPTION_PT, caption_bath, traj.times)
@@ -187,15 +188,17 @@ class TestEvolveAPT:
 
 
 class TestEvolveSweep:
-    FIELDS = ("p1", "p2", "c", "decoherence", "phase", "c_diag",
-              "lnorm_analytic")
+    FIELDS = ("p1", "p2", "c", "decoherence", "phase", "c_diag")
 
     def _assert_same(self, one, other):
         assert other.symmetry is one.symmetry
         assert other.max_quad_error == one.max_quad_error
         for field in self.FIELDS:
-            a, b = getattr(one, field), getattr(other, field)
-            assert (a is None and b is None) or np.array_equal(a, b)
+            assert np.array_equal(getattr(one, field), getattr(other, field))
+        series = [qsl.qsl_series(traj) for traj in (one, other)]
+        assert series[0].max_quad_error == series[1].max_quad_error
+        assert np.array_equal(series[0].liouvillian_norm,
+                              series[1].liouvillian_norm)
 
     def test_matches_single_calls_bitwise(self, caption_bath, monkeypatch):
         pt2 = QubitParams(alpha=1.0, theta=0.4, xi=0.81, delta=0.56,
@@ -207,6 +210,10 @@ class TestEvolveSweep:
         calls = count_evaluations(monkeypatch)
         table = bath.Kernels(ts, caption_bath)
         sweep = [evolve(p, table) for p in (CAPTION_PT, CAPTION_APT, pt2)]
+        assert calls == {"gamma": 1, "omega_pt": 1, "omega1": 1}
+        # The rates are read by the first Anti-PT norm, once per table.
+        for traj in sweep:
+            qsl.qsl_series(traj)
         assert calls == {"gamma": 1, "gamma_rate": 1, "omega_pt": 1,
                          "omega1": 1, "omega1_rate": 1}
         for one, many in zip(singles, sweep, strict=True):
@@ -437,6 +444,51 @@ class TestTrajectoryQubit:
         for name in ("symmetry", "omega0"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(traj, name, getattr(traj, name))
+
+
+class TestTrajectoryTable:
+    """A trajectory keeps the table it was evolved on and restates nothing
+    of it; evolve reads gamma and the phase kernel, and only the Anti-PT
+    speed limit reads the rates."""
+
+    FIELDS = ("qubit", "kernels", "decoherence", "phase", "max_quad_error",
+              "rho0_diag", "c_diag")
+
+    @pytest.mark.parametrize("p", [CAPTION_PT, CAPTION_APT],
+                             ids=["pt", "apt"])
+    def test_times_are_the_tables_grid(self, caption_bath, p):
+        assert tuple(f.name for f in dataclasses.fields(dynamics.Trajectory)
+                     if f.init) == self.FIELDS
+        table = bath.Kernels(np.linspace(0.0, 5.0, 11), caption_bath)
+        traj = evolve(p, table)
+        assert traj.kernels is table
+        assert traj.times is traj.kernels.ts
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.kernels = table
+
+    @pytest.mark.parametrize("p, phase_kernel",
+                             [(CAPTION_PT, "omega_pt"),
+                              (CAPTION_APT, "omega1")], ids=["pt", "apt"])
+    def test_rates_are_read_by_the_norms_alone(self, caption_bath,
+                                               monkeypatch, p, phase_kernel):
+        calls = count_evaluations(monkeypatch)
+        table = bath.Kernels(np.linspace(0.0, 5.0, 11), caption_bath)
+        traj = evolve(p, table)
+        entropy.entropy_series(traj, [1.0])
+        assert calls == {"gamma": 1, phase_kernel: 1}
+        g, (_, phase) = table.gamma(), phase_function(p, table)
+        assert traj.max_quad_error == max(g.abs_error.max(),
+                                          phase.abs_error.max())
+        series = qsl.qsl_series(traj)
+        bounds = [traj.max_quad_error]
+        if p.symmetry is Symmetry.ANTI_PT:
+            assert calls == {"gamma": 1, phase_kernel: 1, "gamma_rate": 1,
+                             "omega1_rate": 1}
+            bounds += [table.gamma_rate().abs_error.max(),
+                       table("omega1_rate", p.theta).abs_error.max()]
+        else:
+            assert calls == {"gamma": 1, phase_kernel: 1}
+        assert series.max_quad_error == max(bounds)
 
 
 class TestDirectEvolution:

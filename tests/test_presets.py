@@ -51,17 +51,17 @@ def count_assemblies(monkeypatch) -> dict[Symmetry, int]:
 
 def _evaluations(name: str) -> dict[str, int]:
     """Kernels a preset evaluates in a fresh table, once each: gamma for
-    any trajectory, d gamma/dt and omega1_rate for Anti-PT ones, and the
-    phase kernel of each class it has."""
+    any trajectory, the phase kernel of each class it has, and d gamma/dt
+    and omega1_rate for the Anti-PT speed limit alone."""
     trajectories = _assemblies(name)
     apt_trajectories = trajectories[APT] > 0
     needed = {
         "gamma": not name.endswith("_phase"),
-        "gamma_rate": apt_trajectories,
+        "gamma_rate": name == "fig_apt_qsl",
         "omega_pt": (trajectories[PT] > 0
                      or name == "fig_pt_phase"),
         "omega1": apt_trajectories or name == "fig_apt_phase",
-        "omega1_rate": apt_trajectories,
+        "omega1_rate": name == "fig_apt_qsl",
     }
     return {kernel: 1 for kernel, need in needed.items() if need}
 

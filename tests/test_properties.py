@@ -1,8 +1,8 @@
 """Property tests over the unbroken parameter region: physical states,
 D in (0, 1], the Renyi hierarchy, the grid functions agreeing with the
-same quantities computed state by state, and the robustness ordering of
-the two classes.  Over every region, float-range extremes included, the
-public entry points raise only the errors they document."""
+same quantities computed state by state, and the robustness and entropy
+orderings of the two classes.  Over every region, float-range extremes
+included, the public entry points raise only the errors they document."""
 
 import math
 
@@ -126,6 +126,32 @@ def test_anti_pt_more_robust_iff_smaller_splitting(pt, apt, b, t_max, n):
     traj_apt, traj_pt = [evolve(p, table) for p in (apt, pt)]
     robust = bool(np.all(traj_apt.decoherence >= traj_pt.decoherence))
     assert robust == (w_apt <= w_pt)
+
+
+@PROPERTY_SETTINGS
+@given(pt_params(), apt_params(), baths, initial_states(), _finite(0.5, 3.0),
+       st.integers(2, 25))
+def test_anti_pt_slower_entropy_growth_iff_smaller_splitting(pt, apt, b, rho0,
+                                                             t_max, n):
+    """From one initial state in one bath, S_q of the Anti-PT trajectory is
+    at most the PT one at every grid time, for q in (0.5, 1, 2, inf), if
+    and only if omega0_APT <= omega0_PT: both spectra are governed by
+    |c0| D(t) alone."""
+    w_apt, w_pt = split(apt).omega0, split(pt).omega0
+    # Apart by more than rounding, so the ordering is decided.
+    assume(abs(w_apt - w_pt) > 1e-6 * max(w_apt, w_pt))
+    table = bath.Kernels(np.linspace(0.0, t_max, n), b)
+    orders = (0.5, 1.0, 2.0, math.inf)
+    s_apt, s_pt = [entropy.entropy_series(evolve(p, table, rho0), orders)
+                   for p in (apt, pt)]
+    dephased = DensityMatrix(p1=rho0.p1, p2=rho0.p2, c=0j)
+    for q in orders:
+        # Some time after t = 0 where the two are not both saturated.
+        saturated = entropy.renyi(dephased, q)
+        assume(np.any((s_apt[q][1:] < saturated) | (s_pt[q][1:] < saturated)))
+    for q in orders:
+        slower = bool(np.all(s_apt[q] <= s_pt[q]))
+        assert slower == (w_apt <= w_pt), q
 
 
 # The draw space of the library contract property: ordinary parameters,

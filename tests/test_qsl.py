@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import CAPTION_APT, CAPTION_PT, count_calls
+from conftest import CAPTION_APT, CAPTION_BATH, CAPTION_PT, count_calls
 from nhqubit import bath, qsl
 from nhqubit.dynamics import (QubitParams, Symmetry, Trajectory, evolve,
                               evolve_apt, evolve_pt)
@@ -27,12 +27,13 @@ def apt_traj(caption_bath):
 def _synthetic_rotation(n=401, t_max=2.0, rate=1.3, amplitude=0.4):
     """Pure phase wobble: |c| constant, gamma identically zero, on an
     Anti-PT qubit with omega0 = 1.  The states are the eigenframe ones,
-    populations 0.5 and coherence c_diag."""
+    populations 0.5 and coherence c_diag.  Its table gives the grid; the
+    stencil (force_numeric=True) reads none of its kernels."""
     ts = np.linspace(0.0, t_max, n)
     return Trajectory(
         qubit=QubitParams(alpha=1.0, theta=0.0, xi=0.0, delta=0.0,
                           symmetry=Symmetry.ANTI_PT),
-        times=ts,
+        kernels=bath.Kernels(ts, CAPTION_BATH),
         decoherence=np.ones(n),
         phase=rate * ts,
         max_quad_error=0.0,
@@ -71,13 +72,13 @@ class TestLiouvillianNorm:
         # Hand-differentiated: |d rho/dt|_op = |c| * |phase rate|.
         traj = _synthetic_rotation(rate=1.3, amplitude=0.4)
         for i in (0, 100, 200, 400):
-            got = qsl.liouvillian_norm(traj, i)
+            got = qsl.liouvillian_norm(traj, i, force_numeric=True)
             assert got == pytest.approx(0.4 * 1.3, abs=1e-4)
 
     def test_grid_too_coarse(self):
         traj = _synthetic_rotation(n=2)
         with pytest.raises(GridTooCoarse):
-            qsl.liouvillian_norm(traj, 0)
+            qsl.liouvillian_norm(traj, 0, force_numeric=True)
 
     @pytest.mark.parametrize("t_max, n", [(1e-310, 21), (1e-300, 3)])
     def test_grid_spacing_below_the_float_range(self, caption_bath, t_max,
@@ -183,6 +184,29 @@ class TestTauQsl:
         with pytest.raises(ValueError):
             qsl.tau_qsl(apt_traj, 0.0)
 
+    def test_off_grid_horizon_on_a_fine_grid(self, caption_bath):
+        """The grid-point check scales with the grid: on a grid to 1e-13,
+        a horizon past its end or between two of its points is rejected,
+        and every grid point is accepted."""
+        traj = evolve_apt(CAPTION_APT, caption_bath,
+                          np.linspace(0.0, 1e-13, 11))
+        for horizon in (5e-13, 2.5e-14):
+            with pytest.raises(ValueError, match="not a grid point"):
+                qsl.tau_qsl(traj, horizon)
+        for horizon in traj.times[1:]:
+            assert math.isfinite(qsl.tau_qsl(traj, horizon))
+        with pytest.raises(ValueError, match="must be positive"):
+            qsl.tau_qsl(traj, 0.0)
+
+    def test_every_grid_point_is_a_horizon(self, caption_bath):
+        """i * step floats name the grid's points, so each is accepted
+        (5.0 on linspace(0, 20, 201) among them)."""
+        traj = evolve_apt(CAPTION_APT, caption_bath,
+                          np.linspace(0.0, 20.0, 201))
+        assert qsl.tau_qsl(traj, 5.0) > 0.0
+        for i in range(1, 201):
+            assert qsl.tau_qsl(traj, i * 0.1) > 0.0
+
 
 class TestSeries:
     def test_shapes_and_nan_at_origin(self, apt_traj):
@@ -252,16 +276,16 @@ class TestRecord:
     def test_force_numeric_bypasses_the_record(self, caption_bath,
                                                monkeypatch):
         traj = evolve_apt(CAPTION_APT, caption_bath, GRID)
-        qsl.qsl_series(traj)
+        analytic = qsl.qsl_series(traj).liouvillian_norm
         calls = count_calls(monkeypatch, qsl, "_norms")
-        stencil = qsl._norms(dataclasses.replace(traj, lnorm_analytic=None))
+        stencil = qsl._norms(traj, force_numeric=True)
         for i in (0, 150, 300):
             numeric = qsl.liouvillian_norm(traj, i, force_numeric=True)
             assert numeric == stencil[i]
-            assert numeric != traj.lnorm_analytic[i]
-            assert qsl.liouvillian_norm(traj, i) == traj.lnorm_analytic[i]
+            assert numeric != analytic[i]
+            assert qsl.liouvillian_norm(traj, i) == analytic[i]
         assert calls == {"_norms": 4}  # the stencil above, then one per call
-        assert qsl.qsl_series(traj).liouvillian_norm is traj.lnorm_analytic
+        assert qsl.qsl_series(traj).liouvillian_norm is analytic
 
     @pytest.mark.parametrize("case", CASES)
     def test_arrays_are_read_only(self, caption_bath, case):
